@@ -382,17 +382,17 @@ func (gw *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, gw.trace.Metrics.Snapshot())
 }
 
-// writeJSON encodes to a buffer first so a mid-encode failure can still
-// become a clean 500 instead of trailing garbage on a started 200.
+// writeJSON encodes compactly into one buffer before writing, so a
+// mid-encode failure can still become a clean 500 instead of trailing
+// garbage on a started 200, and the reply goes out with its length.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }

@@ -7,7 +7,8 @@ package main
 // error contract so every session handler maps faults identically:
 // 400 for caller errors, 404 unknown vs 410 expired, 409 double
 // create, 429 admission timeout and 503 overload/draining (both with
-// Retry-After), 500 otherwise.
+// Retry-After), 500 otherwise. Request bodies are read through a
+// maxSessionBody bound, and one that runs past it is a 413.
 
 import (
 	"context"
@@ -63,6 +64,27 @@ func writeSessionError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
+// maxSessionBody bounds a session create or run body. A run body is
+// about 100 bytes; anything near the bound is not a real request.
+const maxSessionBody = 64 << 10
+
+// decodeSessionBody decodes a JSON request body of at most
+// maxSessionBody bytes into v. On failure it answers 413 for an
+// oversized body and 400 for any other decode error, and returns false.
+func decodeSessionBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSessionBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("bad %s body: %v", what, err), code)
+	return false
+}
+
 // createSessionBody is the optional JSON body of POST /session.
 type createSessionBody struct {
 	ID     string `json:"id"`
@@ -79,11 +101,8 @@ func (gw *gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body createSessionBody
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, fmt.Sprintf("bad session body: %v", err), http.StatusBadRequest)
-			return
-		}
+	if r.ContentLength != 0 && !decodeSessionBody(w, r, "session", &body) {
+		return
 	}
 	tenant := body.Tenant
 	if tenant == "" {
@@ -129,8 +148,7 @@ func (gw *gateway) handleSessionRun(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	var req gea.SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad run body: %v", err), http.StatusBadRequest)
+	if !decodeSessionBody(w, r, "run", &req) {
 		return
 	}
 	ctx := r.Context()

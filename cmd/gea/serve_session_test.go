@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -241,5 +244,127 @@ func TestServeSessionBudgetPartial(t *testing.T) {
 	if full["source"] != "computed" || full["partial"] == true {
 		t.Fatalf("full run after partial: source=%v partial=%v, want computed/false",
 			full["source"], full["partial"])
+	}
+}
+
+// TestServeSessionRunWireForm pins the wire form of a run reply: one
+// compact JSON line with its Content-Length, top-level keys in Response
+// field order with result last, and the same value json.Marshal gives
+// for the response the session hands out.
+func TestServeSessionRunWireForm(t *testing.T) {
+	gw, mux := sessionMux(t, serveOptions{})
+	if rr := do(t, mux, http.MethodPost, "/session", `{"id":"wire"}`); rr.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rr.Code, rr.Body.String())
+	}
+	runBody := `{"op":"aggregate","params":{"tissue":"brain"}}`
+	if rr := do(t, mux, http.MethodPost, "/session/wire/run", runBody); rr.Code != http.StatusOK {
+		t.Fatalf("computing run = %d: %s", rr.Code, rr.Body.String())
+	}
+	rr := do(t, mux, http.MethodPost, "/session/wire/run", runBody)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("hit run = %d: %s", rr.Code, rr.Body.String())
+	}
+	body := rr.Body.Bytes()
+
+	if n := bytes.Count(body, []byte("\n")); n != 1 || body[len(body)-1] != '\n' {
+		t.Errorf("body has %d newlines, want only the trailing one", n)
+	}
+	if got, want := rr.Header().Get("Content-Length"), strconv.Itoa(len(body)); got != want {
+		t.Errorf("Content-Length = %q, body is %s bytes", got, want)
+	}
+
+	rt := reflect.TypeOf(gea.SessionResponse{})
+	order := make(map[string]int, rt.NumField())
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		order[name] = i
+	}
+	keys := topLevelKeys(t, body)
+	for i, k := range keys {
+		idx, ok := order[k]
+		if !ok {
+			t.Errorf("key %q is not a Response field", k)
+		} else if i > 0 && idx <= order[keys[i-1]] {
+			t.Errorf("key %q comes after %q, against Response field order", k, keys[i-1])
+		}
+	}
+	if len(keys) == 0 || keys[len(keys)-1] != "result" {
+		t.Errorf("top-level keys %v, want result last", keys)
+	}
+
+	// Another hit hands out the same cached result; only the run's own
+	// wall time and lineage node differ.
+	resp, err := gw.sessions.Run(context.Background(), "wire", gea.SessionRequest{
+		Op: "aggregate", Params: map[string]string{"tissue": "brain"},
+	})
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	marshaled, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want map[string]any
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(marshaled, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, perRun := range []string{"wall_ns", "node"} {
+		delete(got, perRun)
+		delete(want, perRun)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("decoded body differs from the decoded json.Marshal of the response")
+	}
+}
+
+// topLevelKeys lists the keys of a JSON object in wire order.
+func topLevelKeys(t *testing.T, body []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("body does not open an object: %v %v", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestServeSessionBodyLimit pins the bound on session request bodies:
+// 413 once a create or run body runs past maxSessionBody, 400 for any
+// other decode error, and a padded body under the bound still runs.
+func TestServeSessionBodyLimit(t *testing.T) {
+	_, mux := sessionMux(t, serveOptions{})
+	if rr := do(t, mux, http.MethodPost, "/session", `{"id":"lim"}`); rr.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rr.Code, rr.Body.String())
+	}
+	huge := strings.Repeat("a", maxSessionBody)
+	pad := strings.Repeat(" ", maxSessionBody-100)
+	for _, tc := range []struct {
+		name, url, body string
+		want            int
+	}{
+		{"create oversized", "/session", `{"id":"` + huge + `"}`, http.StatusRequestEntityTooLarge},
+		{"create malformed", "/session", `{"id":`, http.StatusBadRequest},
+		{"run oversized", "/session/lim/run", `{"op":"aggregate","params":{"tissue":"` + huge + `"}}`, http.StatusRequestEntityTooLarge},
+		{"run malformed", "/session/lim/run", `not json`, http.StatusBadRequest},
+		{"run wrong type", "/session/lim/run", `{"op":7}`, http.StatusBadRequest},
+		{"run padded under the bound", "/session/lim/run", `{"op":"aggregate",` + pad + `"params":{"tissue":"brain"}}`, http.StatusOK},
+	} {
+		if rr := do(t, mux, http.MethodPost, tc.url, tc.body); rr.Code != tc.want {
+			t.Errorf("%s = %d, want %d: %.200s", tc.name, rr.Code, tc.want, rr.Body.String())
+		}
 	}
 }

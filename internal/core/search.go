@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gea/internal/exec"
@@ -164,7 +165,7 @@ func rangeSearch(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond 
 	for t := range tagSet {
 		tags = append(tags, t)
 	}
-	sortTags(tags)
+	slices.Sort(tags)
 
 	out := make([]RangeSearchRow, len(tags))
 	prefix, partial, err := shard.For(c, len(tags), 0, func(c *exec.Ctl, _, lo, hi int) (int, error) {
@@ -206,14 +207,6 @@ func AnyTagSearch(s *Sumy, cond RangeCondition) []SumyRow {
 		}
 	}
 	return out
-}
-
-func sortTags(tags []sage.TagID) {
-	for i := 1; i < len(tags); i++ {
-		for j := i; j > 0 && tags[j-1] > tags[j]; j-- {
-			tags[j-1], tags[j] = tags[j], tags[j-1]
-		}
-	}
 }
 
 // FrequencyResult is one row of an expression-value search: a tag's levels
