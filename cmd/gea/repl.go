@@ -59,11 +59,6 @@ type repl struct {
 	// trace, when set by "trace on", collects spans and metrics from
 	// every governed command; "stats" and "explain last" read it.
 	trace *gea.ObsCollector
-	// engine, set by "limit engine", selects the execution engine for
-	// governed commands. Columnar memoises a block view on each dataset
-	// the session mines, which the operators' EngineAuto dispatch picks
-	// up; results are bit-identical on either engine.
-	engine gea.Engine
 }
 
 // opCtx builds the context for one governed command: the configured
@@ -177,13 +172,10 @@ func (r *repl) dispatch(fields []string) error {
   limit budget N     cap mining work at N units (partial results flagged)
   limit deadline D   bound mining wall time (e.g. 30s, 2m)
   limit workers N    evaluate sharded scans on N workers (same results)
-  limit engine E     run operators on the row or columnar engine
-                     (row|columnar|auto; same results, different scans)
   limit off          remove all limits; bare "limit" shows current
   trace on|off       record spans + metrics for governed commands
   stats              print the metrics snapshot collected so far
   explain last       print the span tree of the last governed command
-                     (columnar runs show per-operator block statistics)
   tree               print the lineage tree
   quit               exit
 `)
@@ -286,13 +278,6 @@ func (r *repl) dispatch(fields []string) error {
 		if err := sys.GenerateMetadata(tissue, 10); err != nil {
 			return err
 		}
-		if r.engine == gea.EngineColumnar {
-			// Memoise the columnar view on the tissue dataset so the
-			// mining pipeline's operators dispatch to the block engine.
-			if d, err := sys.Dataset(tissue); err == nil {
-				gea.EnableColumnar(d)
-			}
-		}
 		ctx, stop := r.opCtx()
 		defer stop()
 		pure, tr, err := sys.FindPureFascicleCtx(ctx, tissue, gea.PropCancer, 3, r.limits)
@@ -315,20 +300,19 @@ func (r *repl) dispatch(fields []string) error {
 	case "limit":
 		switch arg(0) {
 		case "":
-			if r.limits.Budget == 0 && r.deadline == 0 && r.limits.Workers <= 1 && r.engine == gea.EngineAuto {
+			if r.limits.Budget == 0 && r.deadline == 0 && r.limits.Workers <= 1 {
 				fmt.Fprintln(r.out, "no limits set")
 			} else {
 				workers := r.limits.Workers
 				if workers < 1 {
 					workers = 1
 				}
-				fmt.Fprintf(r.out, "budget %d units, deadline %v, workers %d, engine %v\n", r.limits.Budget, r.deadline, workers, r.engine)
+				fmt.Fprintf(r.out, "budget %d units, deadline %v, workers %d\n", r.limits.Budget, r.deadline, workers)
 			}
 			return nil
 		case "off":
 			r.limits = gea.ExecLimits{}
 			r.deadline = 0
-			r.engine = gea.EngineAuto
 			fmt.Fprintln(r.out, "limits cleared")
 			return nil
 		case "budget":
@@ -355,16 +339,8 @@ func (r *repl) dispatch(fields []string) error {
 			r.limits.Workers = int(n)
 			fmt.Fprintf(r.out, "worker count set to %d\n", n)
 			return nil
-		case "engine":
-			eng, err := gea.ParseEngine(arg(1))
-			if err != nil || arg(1) == "" {
-				return fmt.Errorf("usage: limit engine row|columnar|auto (results are identical on either)")
-			}
-			r.engine = eng
-			fmt.Fprintf(r.out, "engine set to %v\n", eng)
-			return nil
 		default:
-			return fmt.Errorf(`usage: limit [budget N | deadline DUR | workers N | engine E | off]`)
+			return fmt.Errorf(`usage: limit [budget N | deadline DUR | workers N | off]`)
 		}
 	case "trace":
 		switch arg(0) {

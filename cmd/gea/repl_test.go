@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"gea"
 )
 
 // TestReplSurvivesPanic drives the command loop through a deliberate panic
@@ -172,63 +170,6 @@ func TestReplLimitWorkersErrorPaths(t *testing.T) {
 	}
 	if r.limits.Workers != 0 {
 		t.Errorf("rejected inputs changed the worker setting to %d", r.limits.Workers)
-	}
-}
-
-// TestReplLimitEngine routes a traced mine onto the columnar engine via
-// "limit engine columnar" and asserts the whole surface: the status line
-// shows the engine, the mine still succeeds (engines are bit-identical),
-// the explain-last span tree carries the per-operator block statistics
-// the columnar kernels record, and "limit off" resets the engine.
-func TestReplLimitEngine(t *testing.T) {
-	var out, errw strings.Builder
-	r := &repl{out: &out, errw: &errw}
-	script := strings.Join([]string{
-		"gen",
-		"limit engine columnar",
-		"limit",
-		"trace on",
-		"mine brain",
-		"explain last",
-		"limit off",
-		"limit",
-		"quit",
-	}, "\n") + "\n"
-	if err := r.run(strings.NewReader(script)); err != nil {
-		t.Fatalf("repl exited with error: %v", err)
-	}
-	if errw.Len() > 0 {
-		t.Fatalf("engine script errors:\n%s", errw.String())
-	}
-	if !strings.Contains(out.String(), "engine set to columnar") {
-		t.Errorf("limit engine did not confirm:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "engine columnar") {
-		t.Errorf("limit status does not show the engine:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "pure cancerous fascicle:") {
-		t.Errorf("mine on the columnar engine did not succeed:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "blocks_scanned=") {
-		t.Errorf("explain last does not show columnar block statistics:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "no limits set") {
-		t.Errorf("limit off did not reset the engine to auto:\n%s", out.String())
-	}
-	if r.engine != gea.EngineAuto {
-		t.Errorf("engine after limit off = %v, want auto", r.engine)
-	}
-
-	var errOut strings.Builder
-	r2 := &repl{out: &strings.Builder{}, errw: &errOut}
-	if err := r2.run(strings.NewReader("limit engine bogus\nlimit engine\nquit\n")); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(errOut.String(), "limit engine row|columnar|auto"); got != 2 {
-		t.Errorf("want 2 engine usage rejections, got %d:\n%s", got, errOut.String())
-	}
-	if r2.engine != gea.EngineAuto {
-		t.Errorf("rejected inputs changed the engine to %v", r2.engine)
 	}
 }
 

@@ -72,8 +72,7 @@ func TestBenchJSONSchema(t *testing.T) {
 	if len(records) != 8 {
 		t.Fatalf("want 8 records, got %d", len(records))
 	}
-	// An env without an -engine flag value records the legacy key set:
-	// engine and the block-traversal cells are all omitempty.
+	// The ingestion cells are omitempty, so perf records keep this key set.
 	wantRec := []string{"op", "reps", "units", "wall", "wall_ns", "workers"}
 	for i, r := range records {
 		if got := keysOf(t, r); !equalStrings(got, wantRec) {
@@ -112,50 +111,6 @@ func TestBenchJSONSchema(t *testing.T) {
 		if !contains(counterNames, want) {
 			t.Errorf("metrics snapshot missing counter %q (have %v)", want, counterNames)
 		}
-	}
-}
-
-// TestBenchColumnarEngineRecords runs the perf experiment on the
-// columnar engine and pins the engine-specific BENCH cells: every
-// record carries the engine name, the selective populate's zone maps
-// skip blocks, and the row/columnar unit charges are identical cell
-// for cell (the identical-units rule at the document level).
-func TestBenchColumnarEngineRecords(t *testing.T) {
-	row := benchEnv(t)
-	row.engine, row.engineName = gea.EngineRow, "row"
-	if err := expPerf(row); err != nil {
-		t.Fatalf("row perf experiment: %v", err)
-	}
-	col := benchEnv(t)
-	col.engine, col.engineName = gea.EngineColumnar, "columnar"
-	if err := expPerf(col); err != nil {
-		t.Fatalf("columnar perf experiment: %v", err)
-	}
-	if len(row.bench) != len(col.bench) {
-		t.Fatalf("row recorded %d cells, columnar %d", len(row.bench), len(col.bench))
-	}
-	var selSkipped, selTotal int64
-	for i, rr := range row.bench {
-		cr := col.bench[i]
-		if rr.Op != cr.Op || rr.Workers != cr.Workers {
-			t.Fatalf("cell %d mismatched: %s/%d vs %s/%d", i, rr.Op, rr.Workers, cr.Op, cr.Workers)
-		}
-		if rr.Engine != "row" || cr.Engine != "columnar" {
-			t.Errorf("cell %d engines = %q/%q", i, rr.Engine, cr.Engine)
-		}
-		if rr.Units != cr.Units {
-			t.Errorf("cell %s/%d: row charged %d units, columnar %d — engines must meter identically",
-				rr.Op, rr.Workers, rr.Units, cr.Units)
-		}
-		if rr.BlocksScanned+rr.BlocksSkipped+rr.BytesScanned != 0 {
-			t.Errorf("cell %s/%d: row engine reported block statistics", rr.Op, rr.Workers)
-		}
-		if cr.Op == "populate-sel" {
-			selSkipped, selTotal = cr.BlocksSkipped, cr.BlocksScanned+cr.BlocksSkipped
-		}
-	}
-	if selTotal == 0 || selSkipped == 0 {
-		t.Fatalf("selective populate skipped %d of %d blocks; zone maps pruned nothing", selSkipped, selTotal)
 	}
 }
 

@@ -15,9 +15,6 @@
 //	geabench -exp cleaning-ablation   mining raw vs cleaned data
 //	geabench -exp scaling             operator complexity (Section 3.3.1)
 //	geabench -exp perf -workers 8     sharded evaluation vs sequential
-//	geabench -exp perf -engine columnar   the same cells on the columnar
-//	                                  block engine (zone-map skip counts
-//	                                  land in the BENCH records)
 //	geabench -json                    record perf cells to BENCH_<n>.json
 //	                                  (with span trees + metrics snapshot)
 //	geabench -json-out PATH           same, but to an explicit path
@@ -65,19 +62,10 @@ type env struct {
 	topX     int
 	deadline time.Duration
 	workers  int
-	// engine is the execution-engine setting for the perf experiment's
-	// operator calls; engineName is the flag value recorded into the
-	// BENCH document (empty in tests that predate the flag). engines,
-	// when non-empty, holds the full -engine comma list: the perf
-	// experiment records one series per entry, cross-checking that
-	// every engine produces the identical result.
-	engine     gea.Engine
-	engineName string
-	engines    []engineSel
-	jsonOut    bool
-	jsonPath   string
-	benchNum   int
-	system     *gea.System // lazily built
+	jsonOut  bool
+	jsonPath string
+	benchNum int
+	system   *gea.System // lazily built
 
 	// trace collects spans and metrics from the perf experiment's
 	// governed runs when -json is on, so the benchmark document carries
@@ -119,7 +107,6 @@ func main() {
 	topX := flag.Int("top", 10, "top gaps to display")
 	deadline := flag.Duration("deadline", 0, "wall-time bound per governed operator (0 = unlimited); expired operators stop gracefully")
 	workers := flag.Int("workers", 1, "worker count for sharded operator evaluation (results are identical at any setting)")
-	engineName := flag.String("engine", "auto", "execution engine for the perf experiment's operators: auto|row|columnar, or a comma list (e.g. row,columnar) to record one series per engine (results are identical on either)")
 	jsonOut := flag.Bool("json", false, "write the perf experiment's records to BENCH_<n>.json")
 	jsonPath := flag.String("json-out", "", "write the perf experiment's records to this exact path (implies -json; empty = scan the CWD for the first unused BENCH_<n>.json)")
 	benchNum := flag.Int("benchnum", 0, "pin the BENCH_<n>.json slot written by -json (0 = first unused)")
@@ -218,19 +205,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "geabench:", err)
 		os.Exit(1)
 	}
-	var engines []engineSel
-	for _, name := range strings.Split(*engineName, ",") {
-		name = strings.TrimSpace(name)
-		eng, err := gea.ParseEngine(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "geabench:", err)
-			os.Exit(2)
-		}
-		engines = append(engines, engineSel{eng, name})
-	}
 	e := &env{cfg: cfg, res: res, full: *full, seed: *seed, kpct: *kpct, topX: *topX,
 		deadline: *deadline, workers: *workers,
-		engine: engines[0].eng, engineName: engines[0].name, engines: engines,
 		jsonOut: *jsonOut, jsonPath: *jsonPath, benchNum: *benchNum}
 	if *jsonOut {
 		e.trace = gea.NewObsCollector()

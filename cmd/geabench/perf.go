@@ -18,13 +18,6 @@ import (
 // internal/exec/shard). Each record is one (operator, worker count) cell;
 // -json persists the run to BENCH_<n>.json so successive PRs can compare.
 
-// engineSel pairs a parsed engine with the flag spelling recorded into
-// the BENCH document.
-type engineSel struct {
-	eng  gea.Engine
-	name string
-}
-
 // benchRecord is one measured cell of the perf experiment.
 type benchRecord struct {
 	// Op names the operator benchmarked (e.g. "populate", "diff").
@@ -41,16 +34,6 @@ type benchRecord struct {
 	Units int64 `json:"units"`
 	// Reps is how many timed repetitions the best was taken over.
 	Reps int `json:"reps"`
-	// Engine is the -engine flag value the cell ran under; absent in
-	// documents recorded before the columnar engine existed.
-	Engine string `json:"engine,omitempty"`
-	// BlocksScanned/BlocksSkipped/BytesScanned are the columnar engine's
-	// block-traversal cells for populate operators: blocks decoded,
-	// blocks pruned whole by zone maps, and encoded bytes decompressed.
-	// All zero (and omitted) on the row engine.
-	BlocksScanned int64 `json:"blocks_scanned,omitempty"`
-	BlocksSkipped int64 `json:"blocks_skipped,omitempty"`
-	BytesScanned  int64 `json:"bytes_scanned,omitempty"`
 	// BatchSize and LibsPerSec are the ingestion series' extra cells
 	// (libraries per append batch, commit throughput); omitted from the
 	// perf records so the BENCH schema stays stable.
@@ -188,9 +171,7 @@ func expPerf(e *env) error {
 		return err
 	}
 	// A selective SUMY — the aggregate profile of the first tissue's
-	// libraries — drives the zone-skipping populate cell: the corpus is
-	// generated tissue-by-tissue, so other tissues' blocks fall outside
-	// the profile's ranges and the columnar engine prunes them whole.
+	// libraries — drives the selective populate cell.
 	tissues := d.TissueTypes()
 	selRows := d.RowsByTissue(tissues[0])
 	selEnum, err := gea.NewEnum("perfSel", d, selRows, cols)
@@ -208,7 +189,7 @@ func expPerf(e *env) error {
 		fmt.Println("the substrate's overhead, not a speedup")
 	}
 	rule()
-	fmt.Println("operator     engine    workers   wall         units    vs seq")
+	fmt.Println("operator     workers   wall         units    vs seq")
 
 	// The identity-check run records spans and metrics when -json is on;
 	// the timed repetitions stay on the untraced background context so
@@ -221,84 +202,60 @@ func expPerf(e *env) error {
 
 	type opSpec struct {
 		name string
-		run  func(ctx context.Context, eng gea.Engine, w int) (interface{}, gea.ExecTrace, error)
-		// stats, when set, is filled by run with the populate statistics
-		// of its last call — the block-traversal cells of the record.
-		stats *gea.PopulateStats
+		run  func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error)
 	}
-	var popStats, selStats gea.PopulateStats
 	ops := []opSpec{
-		{"populate", func(ctx context.Context, eng gea.Engine, w int) (interface{}, gea.ExecTrace, error) {
-			en, st, tr, err := gea.PopulateCtx(ctx, "perfPop", sumy, d, nil,
-				gea.PopulateOptions{SimulateRowFetch: true, Engine: eng}, gea.ExecLimits{Workers: w})
-			popStats = st
+		{"populate", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
+			en, _, tr, err := gea.PopulateCtx(ctx, "perfPop", sumy, d, nil,
+				gea.PopulateOptions{SimulateRowFetch: true}, gea.ExecLimits{Workers: w})
 			return en, tr, err
-		}, &popStats},
-		{"populate-sel", func(ctx context.Context, eng gea.Engine, w int) (interface{}, gea.ExecTrace, error) {
-			en, st, tr, err := gea.PopulateCtx(ctx, "perfSelPop", selSumy, d, nil,
-				gea.PopulateOptions{Engine: eng}, gea.ExecLimits{Workers: w})
-			selStats = st
+		}},
+		{"populate-sel", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
+			en, _, tr, err := gea.PopulateCtx(ctx, "perfSelPop", selSumy, d, nil,
+				gea.PopulateOptions{}, gea.ExecLimits{Workers: w})
 			return en, tr, err
-		}, &selStats},
-		{"diff", func(ctx context.Context, eng gea.Engine, w int) (interface{}, gea.ExecTrace, error) {
-			g, tr, err := gea.DiffEngineCtx(ctx, "perfGap", sumy, halfSumy, eng, gea.ExecLimits{Workers: w})
+		}},
+		{"diff", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
+			g, tr, err := gea.DiffCtx(ctx, "perfGap", sumy, halfSumy, gea.ExecLimits{Workers: w})
 			return g, tr, err
-		}, nil},
-		{"aggregate", func(ctx context.Context, eng gea.Engine, w int) (interface{}, gea.ExecTrace, error) {
+		}},
+		{"aggregate", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
 			s, tr, err := gea.AggregateCtx(ctx, "perfAgg", enum,
-				gea.AggregateOptions{Engine: eng}, gea.ExecLimits{Workers: w})
+				gea.AggregateOptions{}, gea.ExecLimits{Workers: w})
 			return s, tr, err
-		}, nil},
+		}},
 	}
 
-	engines := e.engines
-	if len(engines) == 0 {
-		engines = []engineSel{{e.engine, e.engineName}}
-	}
 	for _, op := range ops {
 		var seqNS int64
 		var seqOut interface{}
-		for ei, es := range engines {
-			for _, w := range counts {
-				out, tr, err := op.run(traced, es.eng, w)
-				if err != nil {
-					return fmt.Errorf("%s (%s) at %d workers: %v", op.name, es.name, w, err)
-				}
-				if ei == 0 && w == 1 {
-					seqOut = out
-				} else if !reflect.DeepEqual(stripName(seqOut), stripName(out)) {
-					// Every engine x worker cell must reproduce the first
-					// engine's sequential result bit for bit.
-					return fmt.Errorf("%s (%s) at %d workers diverged from the sequential result", op.name, es.name, w)
-				}
-				best, err := timeBest(reps, func() error {
-					_, _, err := op.run(context.Background(), es.eng, w)
-					return err
-				})
-				if err != nil {
-					return err
-				}
-				rec := benchRecord{Op: op.name, Workers: w, WallNS: best.Nanoseconds(),
-					Wall: best.String(), Units: tr.Units, Reps: reps, Engine: es.name}
-				if op.stats != nil {
-					rec.BlocksScanned = op.stats.BlocksScanned
-					rec.BlocksSkipped = op.stats.BlocksSkipped
-					rec.BytesScanned = op.stats.BytesDecoded
-				}
-				e.bench = append(e.bench, rec)
-				vs := "(baseline)"
-				if ei == 0 && w == 1 {
-					seqNS = rec.WallNS
-				} else if rec.WallNS > 0 {
-					vs = fmt.Sprintf("%.2fx", float64(seqNS)/float64(rec.WallNS))
-				}
-				fmt.Printf("%-12s %-9s %7d   %-12v %6d    %s\n",
-					op.name, es.name, w, best.Round(time.Microsecond), rec.Units, vs)
-				if total := rec.BlocksScanned + rec.BlocksSkipped; w == 1 && total > 0 {
-					fmt.Printf("             zone maps: %d/%d blocks skipped (%.0f%%), %d encoded bytes decoded\n",
-						rec.BlocksSkipped, total, 100*float64(rec.BlocksSkipped)/float64(total), rec.BytesScanned)
-				}
+		for _, w := range counts {
+			out, tr, err := op.run(traced, w)
+			if err != nil {
+				return fmt.Errorf("%s at %d workers: %v", op.name, w, err)
 			}
+			if w == 1 {
+				seqOut = out
+			} else if !reflect.DeepEqual(stripName(seqOut), stripName(out)) {
+				return fmt.Errorf("%s at %d workers diverged from the sequential result", op.name, w)
+			}
+			best, err := timeBest(reps, func() error {
+				_, _, err := op.run(context.Background(), w)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			rec := benchRecord{Op: op.name, Workers: w, WallNS: best.Nanoseconds(),
+				Wall: best.String(), Units: tr.Units, Reps: reps}
+			e.bench = append(e.bench, rec)
+			vs := "(baseline)"
+			if w == 1 {
+				seqNS = rec.WallNS
+			} else if rec.WallNS > 0 {
+				vs = fmt.Sprintf("%.2fx", float64(seqNS)/float64(rec.WallNS))
+			}
+			fmt.Printf("%-12s %7d   %-12v %6d    %s\n", op.name, w, best.Round(time.Microsecond), rec.Units, vs)
 		}
 	}
 	if workers == 1 {

@@ -36,11 +36,6 @@ var Manifest = []string{
 	"admission.transitions",
 	"admission.wait_s",
 
-	// columnar block engine: span-folded scan counters plus the static
-	// compression profile (internal/obs/obs.go Collector.finish,
-	// internal/columnar/scan.go PublishMetrics)
-	"columnar.*",
-
 	// ingestion pipeline (internal/system/ingest.go, system.go)
 	"ingest.generation",
 	"ingest.appends",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"gea/internal/columnar"
 	"gea/internal/exec"
 	"gea/internal/exec/shard"
 	"gea/internal/interval"
@@ -16,11 +15,6 @@ type AggregateOptions struct {
 	// WithMedian adds a "median" extra column. The thesis calls this out as
 	// the aggregate that raises the cost from one pass to O(n log n).
 	WithMedian bool
-	// Engine selects the evaluation engine for the per-tag column scans
-	// (see Engine). The columnar engine decodes each tag's compressed
-	// column block-at-a-time instead of striding the row-major Expr
-	// matrix; the resulting SUMY is bit-identical.
-	Engine Engine
 }
 
 // Aggregate converts a cluster from its extensional form to its intensional
@@ -65,36 +59,16 @@ func AggregateWith(c *exec.Ctl, name string, e *Enum, opts AggregateOptions) (_ 
 	if opts.WithMedian {
 		extraCols = []string{"median"}
 	}
-	store := columnarStore(opts.Engine, e.Data)
 	out := make([]SumyRow, e.NumTags())
 	prefix, partial, err := shard.For(c, e.NumTags(), 0, func(c *exec.Ctl, _, klo, khi int) (int, error) {
 		vals := make([]float64, e.Size())
-		var colbuf []float64
-		if store != nil {
-			colbuf = make([]float64, e.Data.NumLibraries())
-		}
 		for j := klo; j < khi; j++ {
 			if err := c.Point(1); err != nil {
 				return j - klo, err
 			}
 			col := e.Cols[j]
-			if store != nil {
-				// Vectorized gather: decode the tag's compressed column
-				// block-at-a-time into worker-local scratch, then pick
-				// the member libraries' slots. Decoding restores exact
-				// float64 bits, so the fold below sees the same values
-				// as the row-major gather.
-				for bi := range store.Blocks {
-					b := &store.Blocks[bi]
-					b.Decode(col, colbuf[b.Lo:b.Hi])
-				}
-				for i, r := range e.Rows {
-					vals[i] = colbuf[r]
-				}
-			} else {
-				for i, r := range e.Rows {
-					vals[i] = e.Data.Expr[r][col]
-				}
+			for i, r := range e.Rows {
+				vals[i] = e.Data.Expr[r][col]
 			}
 			lo := vals[0]
 			hi := lo
@@ -126,18 +100,6 @@ func AggregateWith(c *exec.Ctl, name string, e *Enum, opts AggregateOptions) (_ 
 	})
 	if err != nil {
 		return nil, false, err
-	}
-	if store != nil {
-		var decoded int64
-		//lint:gea ctlcharge -- O(tags x blocks) statistics replay over the already-metered prefix; no new row work
-		for j := 0; j < prefix; j++ {
-			col := e.Cols[j]
-			for bi := range store.Blocks {
-				decoded += store.Blocks[bi].Cols[col].EncodedBytes()
-			}
-		}
-		sp.AddBlocks(columnar.StatBlocksScanned, int64(prefix)*int64(len(store.Blocks)))
-		sp.AddBlocks(columnar.StatBytesDecoded, decoded)
 	}
 	return NewSumy(name, out[:prefix], extraCols), partial, nil
 }

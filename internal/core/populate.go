@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"gea/internal/columnar"
 	"gea/internal/exec"
 	"gea/internal/exec/shard"
-	"gea/internal/obs"
 	"gea/internal/sage"
 )
 
@@ -116,17 +114,8 @@ type PopulateStats struct {
 	// count when no index was hit).
 	CandidateRows int
 	// ConditionsChecked counts individual range-condition evaluations
-	// actually performed. The columnar engine reports fewer than the row
-	// engine when zone maps skip blocks: candidates inside a pruned block
-	// are rejected with zero evaluations. The resulting ENUM is identical.
+	// actually performed.
 	ConditionsChecked int
-	// BlocksScanned/BlocksSkipped/BytesDecoded describe the columnar
-	// engine's block traversal (zero on the row engine): blocks whose
-	// zone map excluded every candidate versus blocks decoded, and the
-	// encoded bytes materialised for the decoded ones.
-	BlocksScanned int64
-	BlocksSkipped int64
-	BytesDecoded  int64
 }
 
 // PopulateOptions tune the populate() evaluation.
@@ -137,16 +126,12 @@ type PopulateOptions struct {
 	// measures populate() against DB2, where the sequential scan's dominant
 	// cost is exactly that fetch; in-memory early-exit verification is
 	// otherwise so cheap that index savings would be invisible in wall
-	// time. The columnar engine ignores the flag: decoding the residual
-	// columns IS its materialisation cost.
+	// time.
 	SimulateRowFetch bool
 	// Workers overrides the Ctl's worker count for the candidate
 	// verification scan (<= 0 defers to it). Results are bit-identical
 	// at any setting; see internal/exec/shard.
 	Workers int
-	// Engine selects the verification path; see Engine. Both engines
-	// return identical ENUMs and charge identical units.
-	Engine Engine
 }
 
 // popCond is one range conjunct of a populate() verification: column
@@ -296,48 +281,40 @@ func PopulateWith(c *exec.Ctl, name string, s *Sumy, d *sage.Dataset, idx *TagIn
 	// kernel writes only its own per-candidate slots, so the kept rows
 	// and per-row condition counts are bit-identical at any worker
 	// count, and a budget stop yields the same flagged prefix the
-	// sequential scan would have produced. With a columnar store the
-	// verification runs block-at-a-time instead (see verifyBlocks),
-	// keeping the kept set and unit charges identical while zone maps
-	// skip blocks no candidate can qualify in.
+	// sequential scan would have produced.
 	keep := make([]bool, len(candidates))
 	nchecked := make([]int, len(candidates))
-	var prefix int
-	if store := columnarStore(opts.Engine, d); store != nil {
-		prefix, partial, err = verifyBlocks(c, sp, store, opts.Workers, candidates, residual, keep, nchecked, &st)
-	} else {
-		prefix, partial, err = shard.ForN(c, opts.Workers, len(candidates), 0,
-			func(c *exec.Ctl, _, lo, hi int) (int, error) {
-				var fetchSink float64
-				for i := lo; i < hi; i++ {
-					if err := c.Point(1); err != nil {
-						_ = fetchSink
-						return i - lo, err
-					}
-					r := candidates[i]
-					if opts.SimulateRowFetch {
-						for _, v := range d.Expr[r] {
-							fetchSink += v
-						}
-					}
-					ok := true
-					for _, cd := range residual {
-						nchecked[i]++
-						v := 0.0
-						if cd.col >= 0 {
-							v = d.Expr[r][cd.col]
-						}
-						if v < cd.lo || v > cd.hi {
-							ok = false
-							break
-						}
-					}
-					keep[i] = ok
+	prefix, partial, err := shard.ForN(c, opts.Workers, len(candidates), 0,
+		func(c *exec.Ctl, _, lo, hi int) (int, error) {
+			var fetchSink float64
+			for i := lo; i < hi; i++ {
+				if err := c.Point(1); err != nil {
+					_ = fetchSink
+					return i - lo, err
 				}
-				_ = fetchSink
-				return hi - lo, nil
-			})
-	}
+				r := candidates[i]
+				if opts.SimulateRowFetch {
+					for _, v := range d.Expr[r] {
+						fetchSink += v
+					}
+				}
+				ok := true
+				for _, cd := range residual {
+					nchecked[i]++
+					v := 0.0
+					if cd.col >= 0 {
+						v = d.Expr[r][cd.col]
+					}
+					if v < cd.lo || v > cd.hi {
+						ok = false
+						break
+					}
+				}
+				keep[i] = ok
+			}
+			_ = fetchSink
+			return hi - lo, nil
+		})
 	if err != nil {
 		return nil, st, false, err
 	}
@@ -357,122 +334,4 @@ func PopulateWith(c *exec.Ctl, name string, s *Sumy, d *sage.Dataset, idx *TagIn
 		return nil, st, false, err
 	}
 	return e, st, false, nil
-}
-
-// verifyBlocks is the columnar candidate-verification path: the shard
-// substrate iterates block-at-a-time (shard.ForBlocks over candidate
-// spans aligned to block edges), each block's zone map is consulted
-// before any decode, and only the residual columns of surviving blocks
-// are materialised. The kept set and the unit charge sequence are
-// identical to the row path; only condition evaluations and decoded
-// bytes shrink.
-func verifyBlocks(c *exec.Ctl, sp *obs.Span, store *columnar.Store, workers int, candidates []int, residual []popCond, keep []bool, nchecked []int, st *PopulateStats) (int, bool, error) {
-	br := store.BlockRows
-	rconds := make([]columnar.RangeCond, len(residual))
-	slot := make([]int, len(residual))
-	var need []int
-	seen := map[int]int{}
-	//lint:gea ctlcharge -- O(|conditions|) setup translating residual conds for the zone maps; the verification kernel below meters the rows
-	for ci, cd := range residual {
-		rconds[ci] = columnar.RangeCond{Col: cd.col, Lo: cd.lo, Hi: cd.hi}
-		slot[ci] = -1
-		if cd.col >= 0 {
-			s, ok := seen[cd.col]
-			if !ok {
-				s = len(need)
-				seen[cd.col] = s
-				need = append(need, cd.col)
-			}
-			slot[ci] = s
-		}
-	}
-	// Candidate-space block edges: candidates ascend, so block
-	// membership is monotone and the edge list is a pure function of
-	// the candidate set — never of the worker count.
-	edges := []int{0}
-	//lint:gea ctlcharge -- O(|candidates|) dispatch bookkeeping; the kernel meters every candidate it verifies
-	for i := 1; i < len(candidates); i++ {
-		if candidates[i]/br != candidates[i-1]/br {
-			edges = append(edges, i)
-		}
-	}
-	edges = append(edges, len(candidates))
-	prefix, partial, err := shard.ForBlocks(c, workers, edges, func(c *exec.Ctl, _, lo, hi int) (int, error) {
-		dec := make([][]float64, len(need))
-		//lint:gea ctlcharge -- O(|conditions|) kernel-local scratch allocation; the verify loops below meter every candidate
-		for s := range dec {
-			dec[s] = make([]float64, br)
-		}
-		for i := lo; i < hi; {
-			bk := candidates[i] / br
-			j := i + 1
-			for j < hi && candidates[j]/br == bk {
-				j++
-			}
-			b := &store.Blocks[bk]
-			if columnar.PruneBlock(&b.Zone, rconds) {
-				// The zone map proves no row of the block satisfies the
-				// conjunction: reject the whole candidate span with zero
-				// condition evaluations, still charging one unit each.
-				for k := i; k < j; k++ {
-					if err := c.Point(1); err != nil {
-						return k - lo, err
-					}
-					keep[k] = false
-				}
-				i = j
-				continue
-			}
-			for s, col := range need {
-				b.Decode(col, dec[s])
-			}
-			for k := i; k < j; k++ {
-				if err := c.Point(1); err != nil {
-					return k - lo, err
-				}
-				r := candidates[k]
-				ok := true
-				for ci, cd := range residual {
-					nchecked[k]++
-					v := 0.0
-					if cd.col >= 0 {
-						v = dec[slot[ci]][r-b.Lo]
-					}
-					if v < cd.lo || v > cd.hi {
-						ok = false
-						break
-					}
-				}
-				keep[k] = ok
-			}
-			i = j
-		}
-		return hi - lo, nil
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	// Post-hoc block statistics over the valid prefix: replaying the
-	// deterministic zone decisions keeps the kernels pure (no shared
-	// counters) and the numbers exact for the prefix actually returned.
-	//lint:gea ctlcharge -- O(blocks) statistics replay over the already-metered prefix; no new row work
-	for i := 0; i < prefix; {
-		bk := candidates[i] / br
-		j := i + 1
-		for j < prefix && candidates[j]/br == bk {
-			j++
-		}
-		b := &store.Blocks[bk]
-		if columnar.PruneBlock(&b.Zone, rconds) {
-			st.BlocksSkipped++
-		} else {
-			st.BlocksScanned++
-			st.BytesDecoded += b.DecodedBytes(need)
-		}
-		i = j
-	}
-	sp.AddBlocks(columnar.StatBlocksScanned, st.BlocksScanned)
-	sp.AddBlocks(columnar.StatBlocksSkipped, st.BlocksSkipped)
-	sp.AddBlocks(columnar.StatBytesDecoded, st.BytesDecoded)
-	return prefix, partial, nil
 }

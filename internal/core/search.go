@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"gea/internal/exec"
 	"gea/internal/exec/shard"
@@ -103,17 +102,7 @@ func RangeSearchCtx(ctx context.Context, sumys []*Sumy, firstTag, lastTag sage.T
 // per-row hits and checking fills per-tag rows, each worker touching
 // only its own slots, so the report is bit-identical at any worker
 // count. The condition must be a pure function of its interval.
-func RangeSearchWith(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition) ([]RangeSearchRow, bool, error) {
-	return rangeSearch(c, sumys, firstTag, lastTag, cond, false)
-}
-
-// rangeSearch is the shared implementation behind RangeSearchWith and
-// RangeSearchEngine. The engines differ only in how collection marks
-// hits: the row engine compares every row's tag against the bounds,
-// the columnar engine binary-searches the tag-sorted run once per
-// table and tests span membership. Both charge one unit per row, so
-// traces and budget prefixes are identical.
-func rangeSearch(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition, columnarScan bool) (_ []RangeSearchRow, partial bool, err error) {
+func RangeSearchWith(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition) (_ []RangeSearchRow, partial bool, err error) {
 	sp := c.StartSpan("core.RangeSearch")
 	sp.SetInput("%d sumy tables, tag range %v-%v", len(sumys), firstTag, lastTag)
 	defer c.EndSpan(sp, &partial, &err)
@@ -129,22 +118,13 @@ func rangeSearch(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond 
 	// report.
 	tagSet := map[sage.TagID]bool{}
 	for _, s := range sumys {
-		spanLo, spanHi := 0, len(s.Rows)
-		if columnarScan {
-			spanLo = sort.Search(len(s.Rows), func(i int) bool { return s.Rows[i].Tag >= firstTag })
-			spanHi = sort.Search(len(s.Rows), func(i int) bool { return s.Rows[i].Tag > lastTag })
-		}
 		hit := make([]bool, len(s.Rows))
 		_, partial, err := shard.For(c, len(s.Rows), 0, func(c *exec.Ctl, _, lo, hi int) (int, error) {
 			for i := lo; i < hi; i++ {
 				if err := c.Point(1); err != nil {
 					return i - lo, err
 				}
-				if columnarScan {
-					hit[i] = i >= spanLo && i < spanHi
-				} else {
-					hit[i] = s.Rows[i].Tag >= firstTag && s.Rows[i].Tag <= lastTag
-				}
+				hit[i] = s.Rows[i].Tag >= firstTag && s.Rows[i].Tag <= lastTag
 			}
 			return hi - lo, nil
 		})

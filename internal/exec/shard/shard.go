@@ -5,8 +5,8 @@
 // over a contiguous index range and driven by For, which:
 //
 //   - splits the work into deterministic contiguous shards whose
-//     boundaries depend only on (work, grain) — or, for ForBlocks, on
-//     the block edge list — never on the worker count;
+//     boundaries depend only on (work, grain), never on the worker
+//     count;
 //   - hands each shard a child Ctl carrying a proportional slice of
 //     the remaining budget (exec.Ctl.SplitWork), so the
 //     charge-then-check discipline holds per shard;
@@ -61,6 +61,15 @@ func ForN(c *exec.Ctl, workers, work, grain int, kernel Kernel) (int, bool, erro
 	if work <= 0 {
 		return 0, false, nil
 	}
+	// Pre-flight: a Ctl already stopped by an earlier stage must not
+	// start new work. Budget exhaustion yields an empty flagged
+	// prefix; a cancellation propagates as the error it is.
+	if err := c.Err(); err != nil {
+		if exec.IsBudget(err) {
+			return 0, true, nil
+		}
+		return 0, false, err
+	}
 	if grain <= 0 {
 		grain = (work + defaultShards - 1) / defaultShards
 	}
@@ -74,46 +83,6 @@ func ForN(c *exec.Ctl, workers, work, grain int, kernel Kernel) (int, bool, erro
 		}
 		bounds[i] = hi
 	}
-	return forBounds(c, workers, bounds, kernel)
-}
-
-// ForBlocks is For with shard boundaries drawn from a block edge list
-// instead of a uniform grain: edges must be strictly ascending with
-// edges[0] == 0 and edges[len-1] == the total work, and every shard
-// boundary falls on an edge, so a kernel always sees whole blocks.
-// Shards group consecutive blocks toward the same per-shard item
-// count For would pick — boundaries are a pure function of the edge
-// list, never of the worker count, preserving the bit-identical
-// prefix contract.
-func ForBlocks(c *exec.Ctl, workers int, edges []int, kernel Kernel) (int, bool, error) {
-	if len(edges) < 2 || edges[len(edges)-1] <= 0 {
-		return 0, false, nil
-	}
-	work := edges[len(edges)-1]
-	target := (work + defaultShards - 1) / defaultShards
-	bounds := make([]int, 1, len(edges))
-	//lint:gea ctlcharge -- O(blocks) dispatch bookkeeping of the substrate itself; the kernels meter the actual work
-	for _, e := range edges[1:] {
-		if e-bounds[len(bounds)-1] >= target || e == work {
-			bounds = append(bounds, e)
-		}
-	}
-	return forBounds(c, workers, bounds, kernel)
-}
-
-// forBounds runs kernel over the contiguous shards [bounds[i],
-// bounds[i+1]), the shared engine of For/ForN/ForBlocks.
-func forBounds(c *exec.Ctl, workers int, bounds []int, kernel Kernel) (int, bool, error) {
-	// Pre-flight: a Ctl already stopped by an earlier stage must not
-	// start new work. Budget exhaustion yields an empty flagged
-	// prefix; a cancellation propagates as the error it is.
-	if err := c.Err(); err != nil {
-		if exec.IsBudget(err) {
-			return 0, true, nil
-		}
-		return 0, false, err
-	}
-	nshards := len(bounds) - 1
 	if workers <= 0 {
 		workers = c.Workers()
 	}

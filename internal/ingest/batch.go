@@ -86,7 +86,8 @@ func (r Rejection) String() string { return fmt.Sprintf("%s: %v", r.Name, r.Err)
 func Screen(b Batch, existing map[string]bool) (valid []*sage.Library, rejected []Rejection) {
 	seen := make(map[string]bool, len(b.Libraries))
 	for _, bl := range b.Libraries {
-		if err := screenOne(bl, existing, seen); err != nil {
+		counts, err := screenOne(bl, existing, seen)
+		if err != nil {
 			rejected = append(rejected, Rejection{Name: bl.Name, Err: err})
 			continue
 		}
@@ -99,42 +100,49 @@ func Screen(b Batch, existing map[string]bool) (valid []*sage.Library, rejected 
 			meta.Source = sage.CellLine
 		}
 		l := sage.NewLibrary(meta)
-		for ts, cnt := range bl.Counts {
-			tag, _ := sage.ParseTag(ts) // screened above
-			l.Counts[tag] = cnt
-		}
+		l.Counts = counts
 		l.RefreshMeta()
 		valid = append(valid, l)
 	}
 	return valid, rejected
 }
 
-func screenOne(bl BatchLibrary, existing, seen map[string]bool) error {
+// screenOne validates one submitted library and returns its counts keyed
+// by parsed tag. ParseTag accepts either case, so two spellings of one
+// tag would collide on a single TagID; such a library is rejected rather
+// than keeping whichever count map iteration happened to visit last.
+func screenOne(bl BatchLibrary, existing, seen map[string]bool) (map[sage.TagID]float64, error) {
 	if bl.Name == "" {
-		return &SchemaError{Reason: "empty library name"}
+		return nil, &SchemaError{Reason: "empty library name"}
 	}
 	if strings.ContainsAny(bl.Name, "/\\") {
-		return &SchemaError{Lib: bl.Name, Reason: "name contains a path separator"}
+		return nil, &SchemaError{Lib: bl.Name, Reason: "name contains a path separator"}
 	}
 	if existing[bl.Name] {
-		return &SchemaError{Lib: bl.Name, Reason: "library already in the corpus"}
+		return nil, &SchemaError{Lib: bl.Name, Reason: "library already in the corpus"}
 	}
 	if seen[bl.Name] {
-		return &SchemaError{Lib: bl.Name, Reason: "duplicate name within the batch"}
+		return nil, &SchemaError{Lib: bl.Name, Reason: "duplicate name within the batch"}
 	}
 	if bl.Tissue == "" {
-		return &SchemaError{Lib: bl.Name, Reason: "empty tissue type"}
+		return nil, &SchemaError{Lib: bl.Name, Reason: "empty tissue type"}
 	}
 	if len(bl.Counts) == 0 {
-		return &SchemaError{Lib: bl.Name, Reason: "no tag counts"}
+		return nil, &SchemaError{Lib: bl.Name, Reason: "no tag counts"}
 	}
+	counts := make(map[sage.TagID]float64, len(bl.Counts))
 	for ts, cnt := range bl.Counts {
-		if _, err := sage.ParseTag(ts); err != nil {
-			return &SchemaError{Lib: bl.Name, Reason: fmt.Sprintf("bad tag %q: %v", ts, err)}
+		tag, err := sage.ParseTag(ts)
+		if err != nil {
+			return nil, &SchemaError{Lib: bl.Name, Reason: fmt.Sprintf("bad tag %q: %v", ts, err)}
 		}
 		if cnt < 0 || math.IsNaN(cnt) || math.IsInf(cnt, 0) {
-			return &SchemaError{Lib: bl.Name, Reason: fmt.Sprintf("tag %s has invalid count %g", ts, cnt)}
+			return nil, &SchemaError{Lib: bl.Name, Reason: fmt.Sprintf("tag %s has invalid count %g", ts, cnt)}
 		}
+		if _, dup := counts[tag]; dup {
+			return nil, &SchemaError{Lib: bl.Name, Reason: fmt.Sprintf("tag %s is named twice (tags are case-insensitive)", tag)}
+		}
+		counts[tag] = cnt
 	}
-	return nil
+	return counts, nil
 }

@@ -318,6 +318,7 @@ func TestStoreQuarantine(t *testing.T) {
 		{Name: "noCounts", Tissue: "brain", Counts: nil},
 		{Name: "badTag", Tissue: "brain", Counts: map[string]float64{"XYZ": 1}},
 		{Name: "negCount", Tissue: "brain", Counts: map[string]float64{"AAAAAAAAAC": -2}},
+		{Name: "twoSpellings", Tissue: "brain", Counts: map[string]float64{"AAAAAAAAAC": 1, "aaaaaaaaac": 5}},
 	}
 	b.Libraries = append(b.Libraries, bad...)
 
@@ -335,7 +336,8 @@ func TestStoreQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quarantine report missing: %v", err)
 	}
-	for _, want := range []string{"already in the corpus", "duplicate name within the batch", "empty tissue", "bad tag", "invalid count"} {
+	for _, want := range []string{"already in the corpus", "duplicate name within the batch", "empty tissue", "bad tag", "invalid count",
+		"tag AAAAAAAAAC is named twice"} {
 		if !strings.Contains(string(report), want) {
 			t.Errorf("quarantine report lacks %q:\n%s", want, report)
 		}

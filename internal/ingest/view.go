@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"gea/internal/clean"
-	"gea/internal/columnar"
 	"gea/internal/core"
 	"gea/internal/exec"
 	"gea/internal/indexsel"
@@ -97,12 +96,6 @@ type View struct {
 	// Indexes are sorted column indexes over the top IndexTags entropy
 	// columns, bit-identical to core.BuildTagIndexes on those columns.
 	Indexes *core.TagIndexes
-	// Blocks is the columnar view over Data, maintained incrementally:
-	// sealed blocks untouched by an append are reused (remapped through
-	// the tag dictionary) rather than re-encoded. DeepEqual-identical to
-	// columnar.Build(Data) and adopted as Data's memoised view, so the
-	// algebra's columnar engine picks it up without a rebuild.
-	Blocks *columnar.Store
 
 	maxCount map[sage.TagID]float64
 	keep     map[sage.TagID]bool
@@ -180,8 +173,6 @@ func RebuildWith(c *exec.Ctl, raw *sage.Corpus, opts ViewOptions) (_ *View, part
 		v.Report.Libraries = append(v.Report.Libraries, lr)
 	}
 	v.Data = sage.BuildWithTags(v.Cleaned, sortedTags(v.keep))
-	v.Blocks = columnar.Build(v.Data, columnar.Config{})
-	columnar.Adopt(v.Data, v.Blocks)
 	if err := v.deriveColumns(c, nil, 0, nil); err != nil {
 		return nil, false, err
 	}
@@ -308,13 +299,6 @@ func (v *View) ApplyWith(c *exec.Ctl, libs []*sage.Library) (_ *View, partial bo
 		nv.Report.Libraries = append(nv.Report.Libraries, lr)
 	}
 	nv.Data = sage.BuildWithTags(nv.Cleaned, sortedTags(nv.keep))
-	// Advance the columnar view: re-cleaned old rows are the only rows
-	// whose contents can differ from prev; rows at or past oldN are
-	// implicitly new to Advance.
-	nv.Blocks = columnar.Advance(v.Blocks, nv.Data, func(row int) bool {
-		return row >= oldN || affected[row]
-	}, columnar.Config{})
-	columnar.Adopt(nv.Data, nv.Blocks)
 
 	fresh := map[sage.TagID]bool{}
 	//lint:gea ctlcharge -- set union, O(changed tags) bookkeeping

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gea/internal/clean"
-	"gea/internal/columnar"
 	"gea/internal/core"
 	"gea/internal/indexsel"
 	"gea/internal/sage"
@@ -41,9 +40,6 @@ func viewsEqual(t *testing.T, label string, got, want *View) {
 	}
 	if !reflect.DeepEqual(got.Ranked, want.Ranked) {
 		t.Fatalf("%s: entropy rankings differ", label)
-	}
-	if !reflect.DeepEqual(got.Blocks, want.Blocks) {
-		t.Fatalf("%s: columnar stores differ", label)
 	}
 	gc, wc := got.Indexes.Columns(), want.Indexes.Columns()
 	if !reflect.DeepEqual(gc, wc) {
@@ -109,16 +105,6 @@ func TestViewMatchesOperators(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v.Ranked, indexsel.RankByEntropy(v.Data)) {
 		t.Error("maintained ranking differs from indexsel.RankByEntropy over the same dataset")
-	}
-
-	// The incrementally advanced columnar store must equal a from-scratch
-	// build and be adopted as the dataset's memoised view, so the
-	// algebra's columnar engine finds it without rebuilding.
-	if !reflect.DeepEqual(v.Blocks, columnar.Build(v.Data, columnar.Config{})) {
-		t.Error("maintained columnar store differs from columnar.Build over the same dataset")
-	}
-	if columnar.Peek(v.Data) != v.Blocks {
-		t.Error("maintained columnar store not adopted as the dataset's view")
 	}
 
 	// The sorted indexes must equal core.BuildTagIndexes over the same

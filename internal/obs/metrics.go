@@ -91,11 +91,6 @@ var LatencyBounds = []float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100}
 // units/s, one decade per bucket.
 var RateBounds = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 
-// RatioBounds is the shared bucketing for dimensionless ratios in
-// (0, 1] — compression ratios, hit rates. Anything above 1 (e.g. an
-// encoding that expanded its input) lands in the overflow bucket.
-var RatioBounds = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {

@@ -32,7 +32,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -68,20 +67,15 @@ const (
 // than time.Duration keeps the JSON form explicit for geabench and the
 // serve span-dump endpoint.
 type Record struct {
-	Op          string  `json:"op"`
-	Input       string  `json:"input,omitempty"`
-	Outcome     Outcome `json:"outcome"`
-	Err         string  `json:"err,omitempty"`
-	Units       int64   `json:"units"`
-	Checkpoints int64   `json:"checkpoints"`
-	Workers     int     `json:"workers,omitempty"`
-	WallNS      int64   `json:"wall_ns"`
-	// Blocks holds the span's columnar block statistics — keys like
-	// "blocks_scanned", "blocks_skipped", "bytes_decoded" — reported by
-	// operators that ran a block-kernel path. The collector folds each
-	// key into the "columnar.<key>" counter on completion.
-	Blocks   map[string]int64 `json:"blocks,omitempty"`
-	Children []*Record        `json:"children,omitempty"`
+	Op          string    `json:"op"`
+	Input       string    `json:"input,omitempty"`
+	Outcome     Outcome   `json:"outcome"`
+	Err         string    `json:"err,omitempty"`
+	Units       int64     `json:"units"`
+	Checkpoints int64     `json:"checkpoints"`
+	Workers     int       `json:"workers,omitempty"`
+	WallNS      int64     `json:"wall_ns"`
+	Children    []*Record `json:"children,omitempty"`
 }
 
 // Walk visits r and every descendant in depth-first pre-order.
@@ -125,16 +119,6 @@ func (r *Record) tree(b *strings.Builder, depth int) {
 		r.Op, r.Outcome, r.Units, r.Checkpoints, time.Duration(r.WallNS).Round(time.Microsecond))
 	if r.Workers > 1 {
 		fmt.Fprintf(b, " workers=%d", r.Workers)
-	}
-	if len(r.Blocks) > 0 {
-		keys := make([]string, 0, len(r.Blocks))
-		for k := range r.Blocks {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(b, " %s=%d", k, r.Blocks[k])
-		}
 	}
 	if r.Input != "" {
 		fmt.Fprintf(b, " (%s)", r.Input)
@@ -229,9 +213,6 @@ func (c *Collector) finish(r *Record, root bool) {
 	m.Histogram("ops."+r.Op+".latency_s", LatencyBounds).Observe(secs)
 	if r.Units > 0 && secs > 0 {
 		m.Histogram("ops."+r.Op+".units_per_s", RateBounds).Observe(float64(r.Units) / secs)
-	}
-	for k, v := range r.Blocks {
-		m.Counter("columnar." + k).Add(v)
 	}
 	m.Counter("spans.completed").Add(1)
 	m.Gauge("spans.active").Add(-1)
@@ -348,20 +329,6 @@ func (sp *Span) SetInput(format string, args ...any) {
 		return
 	}
 	sp.rec.Input = fmt.Sprintf(format, args...)
-}
-
-// AddBlocks accumulates a columnar block statistic on the span (e.g.
-// "blocks_skipped"). Like SetInput it must be called from the
-// operator's own goroutine before the span ends; block-kernel
-// operators report totals after their shard loop completes.
-func (sp *Span) AddBlocks(key string, n int64) {
-	if sp == nil || n == 0 {
-		return
-	}
-	if sp.rec.Blocks == nil {
-		sp.rec.Blocks = make(map[string]int64)
-	}
-	sp.rec.Blocks[key] += n
 }
 
 // Rec returns the span's record. Its fields are final only once the

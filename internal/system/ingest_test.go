@@ -3,6 +3,7 @@ package system
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -269,4 +270,38 @@ func TestIngestConcurrentReaders(t *testing.T) {
 	if want := uint64(len(batches) + 1); sys.Generation() != want {
 		t.Fatalf("final generation %d, want %d", sys.Generation(), want)
 	}
+}
+
+// TestIngestSupersededGenerationIsFreed pins that a generation's dataset
+// becomes garbage once the next append swaps it out: nothing process-wide
+// may keep superseded generations alive, or a long-running ingest server
+// grows by one corpus per append.
+func TestIngestSupersededGenerationIsFreed(t *testing.T) {
+	sys, _, _, _ := newIngestSystem(t)
+	batches := emitBatches(t, 2)
+	if _, err := sys.IngestAppend(ingest.BatchFromLibraries(batches[0])); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	watchDataset(sys, freed)
+	if _, err := sys.IngestAppend(ingest.BatchFromLibraries(batches[1])); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the superseded generation's dataset is still reachable after the next append")
+}
+
+// watchDataset closes freed when the current generation's dataset is
+// collected. It is a separate function so no local of the test keeps
+// the dataset reachable.
+func watchDataset(sys *System, freed chan struct{}) {
+	view, _ := sys.IngestView()
+	runtime.SetFinalizer(view.Data, func(*sage.Dataset) { close(freed) })
 }
