@@ -255,12 +255,14 @@ func TestServePanicIsolation(t *testing.T) {
 
 // TestServeRequestTimeout pins the per-request deadline: a request
 // stalled past requestTimeout answers 503 with Retry-After instead of
-// hanging, and the slot frees for the next caller.
+// hanging, and the slot frees for the next caller. The deadline leaves
+// room for that next caller's cold mine, which takes tens of
+// milliseconds under the race detector.
 func TestServeRequestTimeout(t *testing.T) {
 	sys := overloadSystem(t, gea.SystemOptions{MaxConcurrent: 1})
 	gw, mux := newServeMux(sys, gea.NewObsCollector(),
-		serveOptions{requestTimeout: 25 * time.Millisecond})
-	gw.faults.StallFor(1, 250*time.Millisecond)
+		serveOptions{requestTimeout: 150 * time.Millisecond})
+	gw.faults.StallFor(1, time.Second)
 
 	rr := get(t, mux, "/mine?tissue=brain")
 	if rr.Code != http.StatusServiceUnavailable {

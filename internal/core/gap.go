@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gea/internal/exec"
 	"gea/internal/exec/shard"
@@ -42,24 +43,32 @@ func DiffCtx(ctx context.Context, name string, a, b *Sumy, lim exec.Limits) (*Ga
 }
 
 // DiffWith is the metered implementation; one work unit is one tag of
-// the first SUMY table examined. The per-tag joins evaluate through
-// the shard substrate, so the result is bit-identical at any worker
-// count.
+// the first SUMY table examined. Both tables are in tag order, so the
+// per-tag join is a merge: each shard finds its start in b with one
+// binary search and walks both tables forward. The joins evaluate
+// through the shard substrate, so the result is bit-identical at any
+// worker count.
 func DiffWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Gap, partial bool, err error) {
 	sp := c.StartSpan("core.Diff")
 	sp.SetInput("%s (%d rows) vs %s (%d rows)", a.Name, len(a.Rows), b.Name, len(b.Rows))
 	defer c.EndSpan(sp, &partial, &err)
+	// Row i of a owns out[i] and vals[i]; a row with no partner in b
+	// keeps nil Values and is compacted away below.
 	out := make([]GapRow, len(a.Rows))
-	has := make([]bool, len(a.Rows))
+	vals := make([]GapValue, len(a.Rows))
 	prefix, partial, err := shard.For(c, len(a.Rows), 0, func(c *exec.Ctl, _, lo, hi int) (int, error) {
+		j, _ := b.search(a.Rows[lo].Tag)
 		for i := lo; i < hi; i++ {
 			if err := c.Point(1); err != nil {
 				return i - lo, err
 			}
 			ra := a.Rows[i]
-			if rb, ok := b.Row(ra.Tag); ok {
-				out[i] = GapRow{Tag: ra.Tag, Values: []GapValue{gapOf(ra, rb)}}
-				has[i] = true
+			for j < len(b.Rows) && b.Rows[j].Tag < ra.Tag {
+				j++
+			}
+			if j < len(b.Rows) && b.Rows[j].Tag == ra.Tag {
+				vals[i] = gapOf(ra, b.Rows[j])
+				out[i] = GapRow{Tag: ra.Tag, Values: vals[i : i+1 : i+1]}
 			}
 		}
 		return hi - lo, nil
@@ -67,14 +76,15 @@ func DiffWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Gap, partial bool, err e
 	if err != nil {
 		return nil, false, err
 	}
-	var rows []GapRow
+	n := 0
 	//lint:gea ctlcharge -- compaction of the already-metered shard prefix; every row was charged inside the kernel above
 	for i := 0; i < prefix; i++ {
-		if has[i] {
-			rows = append(rows, out[i])
+		if out[i].Values != nil {
+			out[n] = out[i]
+			n++
 		}
 	}
-	g, err := NewGap(name, []string{"gap"}, rows)
+	g, err := NewGap(name, []string{"gap"}, out[:n])
 	if err != nil {
 		return nil, false, err
 	}
@@ -256,35 +266,19 @@ func TopGaps(name string, g *Gap, col, x int) (*Gap, error) {
 			rows = append(rows, r)
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		ai, aj := math.Abs(rows[i].Values[col].V), math.Abs(rows[j].Values[col].V)
-		if ai != aj {
-			return ai > aj
+	slices.SortStableFunc(rows, func(a, b GapRow) int {
+		if c := cmp.Compare(math.Abs(b.Values[col].V), math.Abs(a.Values[col].V)); c != 0 {
+			return c
 		}
-		return rows[i].Tag < rows[j].Tag
+		return cmp.Compare(a.Tag, b.Tag)
 	})
 	if x > len(rows) {
 		x = len(rows)
 	}
-	top := make([]GapRow, x)
-	copy(top, rows[:x])
-	out, err := NewGap(name, g.Cols, top)
-	if err != nil {
-		return nil, err
-	}
-	// Preserve the magnitude order for display: NewGap sorts by tag, so
-	// re-sort the rows in place (byTag lookups remain valid because the
-	// index maps tags to positions we now rewrite).
-	sort.SliceStable(out.Rows, func(i, j int) bool {
-		ai, aj := math.Abs(out.Rows[i].Values[col].V), math.Abs(out.Rows[j].Values[col].V)
-		if ai != aj {
-			return ai > aj
-		}
-		return out.Rows[i].Tag < out.Rows[j].Tag
-	})
-	for i, r := range out.Rows {
-		out.byTag[r.Tag] = i
-	}
+	// The rows come from g, so they already have g's arity; keep them in
+	// display order, which setRows indexes.
+	out := &Gap{Name: name, Cols: g.Cols}
+	out.setRows(slices.Clone(rows[:x]))
 	return out, nil
 }
 

@@ -17,7 +17,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gea/internal/interval"
@@ -237,30 +239,35 @@ type Sumy struct {
 	Rows []SumyRow // ascending by Tag
 	// ExtraCols names the extra aggregate columns present on every row.
 	ExtraCols []string
-
-	byTag map[sage.TagID]int
 }
 
-// NewSumy builds a Sumy from rows, sorting them by tag and indexing them.
+// NewSumy builds a Sumy from rows, sorting them by tag unless they already
+// are.
 func NewSumy(name string, rows []SumyRow, extraCols []string) *Sumy {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Tag < rows[j].Tag })
-	s := &Sumy{Name: name, Rows: rows, ExtraCols: extraCols, byTag: make(map[sage.TagID]int, len(rows))}
-	for i, r := range rows {
-		s.byTag[r.Tag] = i
+	if !slices.IsSortedFunc(rows, sumyTagOrder) {
+		slices.SortStableFunc(rows, sumyTagOrder)
 	}
-	return s
+	return &Sumy{Name: name, Rows: rows, ExtraCols: extraCols}
 }
+
+func sumyTagOrder(a, b SumyRow) int { return cmp.Compare(a.Tag, b.Tag) }
 
 // Len returns the number of tags summarized.
 func (s *Sumy) Len() int { return len(s.Rows) }
 
 // Row returns the row for tag and whether it exists.
 func (s *Sumy) Row(tag sage.TagID) (SumyRow, bool) {
-	i, ok := s.byTag[tag]
+	i, ok := s.search(tag)
 	if !ok {
 		return SumyRow{}, false
 	}
 	return s.Rows[i], true
+}
+
+// search binary-searches the tag-ordered rows for tag: its position, or
+// where it would be inserted.
+func (s *Sumy) search(tag sage.TagID) (int, bool) {
+	return slices.BinarySearchFunc(s.Rows, tag, func(r SumyRow, t sage.TagID) int { return cmp.Compare(r.Tag, t) })
 }
 
 // Tags lists the summarized tags, ascending.
@@ -304,12 +311,17 @@ type Gap struct {
 	// Cols names the gap-level columns (e.g. "gap", or "gap1"/"gap2" after
 	// an intersection).
 	Cols []string
-	Rows []GapRow // ascending by Tag
+	// Rows are ascending by Tag, except in a top-gap table, which keeps
+	// display order (magnitude descending).
+	Rows []GapRow
 
+	// byTag indexes Rows exactly when they are not in tag order; a
+	// tag-ordered table is binary-searched instead.
 	byTag map[sage.TagID]int
 }
 
-// NewGap builds a Gap from rows, sorting by tag and validating arity.
+// NewGap builds a Gap from rows, sorting them by tag unless they already
+// are, and validating arity.
 func NewGap(name string, cols []string, rows []GapRow) (*Gap, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("core: gap %s needs at least one gap column", name)
@@ -320,12 +332,26 @@ func NewGap(name string, cols []string, rows []GapRow) (*Gap, error) {
 				name, r.Tag, len(r.Values), len(cols))
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Tag < rows[j].Tag })
-	g := &Gap{Name: name, Cols: cols, Rows: rows, byTag: make(map[sage.TagID]int, len(rows))}
+	if !slices.IsSortedFunc(rows, gapTagOrder) {
+		slices.SortStableFunc(rows, gapTagOrder)
+	}
+	return &Gap{Name: name, Cols: cols, Rows: rows}, nil
+}
+
+func gapTagOrder(a, b GapRow) int { return cmp.Compare(a.Tag, b.Tag) }
+
+// setRows installs rows in their given order and indexes them by tag
+// when that order is not tag order.
+func (g *Gap) setRows(rows []GapRow) {
+	g.Rows = rows
+	g.byTag = nil
+	if slices.IsSortedFunc(rows, gapTagOrder) {
+		return
+	}
+	g.byTag = make(map[sage.TagID]int, len(rows))
 	for i, r := range rows {
 		g.byTag[r.Tag] = i
 	}
-	return g, nil
 }
 
 // Len returns the number of tags.
@@ -333,11 +359,20 @@ func (g *Gap) Len() int { return len(g.Rows) }
 
 // Row returns the row for tag and whether it exists.
 func (g *Gap) Row(tag sage.TagID) (GapRow, bool) {
-	i, ok := g.byTag[tag]
+	i, ok := g.find(tag)
 	if !ok {
 		return GapRow{}, false
 	}
 	return g.Rows[i], true
+}
+
+// find returns the position of tag's row.
+func (g *Gap) find(tag sage.TagID) (int, bool) {
+	if g.byTag != nil {
+		i, ok := g.byTag[tag]
+		return i, ok
+	}
+	return slices.BinarySearchFunc(g.Rows, tag, func(r GapRow, t sage.TagID) int { return cmp.Compare(r.Tag, t) })
 }
 
 // ReorderRows rearranges the rows into the given tag order, which must be a
@@ -355,16 +390,13 @@ func (g *Gap) ReorderRows(tags []sage.TagID) error {
 			return fmt.Errorf("core: reorder of %s repeats tag %v", g.Name, tg)
 		}
 		seen[tg] = true
-		i, ok := g.byTag[tg]
+		i, ok := g.find(tg)
 		if !ok {
 			return fmt.Errorf("core: reorder of %s references missing tag %v", g.Name, tg)
 		}
 		rows = append(rows, g.Rows[i])
 	}
-	g.Rows = rows
-	for i, r := range rows {
-		g.byTag[r.Tag] = i
-	}
+	g.setRows(rows)
 	return nil
 }
 

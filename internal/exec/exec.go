@@ -207,6 +207,16 @@ func (c *Ctl) Err() error {
 	return c.stopped
 }
 
+// Affords reports whether n more units can be charged without the
+// budget stopping this Ctl: it has not stopped, and it has no budget or
+// more than n units of it remain.
+func (c *Ctl) Affords(n int64) bool {
+	if c == nil {
+		return true
+	}
+	return c.stopped == nil && (c.budget <= 0 || c.budget-c.units > n)
+}
+
 // Units returns the work charged so far.
 func (c *Ctl) Units() int64 {
 	if c == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"sync"
 
+	"gea/internal/exec"
 	"gea/internal/obs"
 )
 
@@ -146,26 +147,38 @@ func New(opts Options) *Cache {
 // result. fn runs outside the cache lock. An error or a Partial result
 // is handed to the leader and every follower but never stored. A
 // follower whose ctx dies while waiting returns the context error; the
-// leader's compute is not cancelled by followers leaving.
+// leader's compute is not cancelled by followers leaving. Nor do
+// followers inherit the leader's cancellation: the compute ran under
+// the leader's context, so a follower whose own context is still live
+// looks the key up again when the flight it joined was cancelled or
+// timed out. Each call counts once in the hit, miss and shared
+// counters, by its final outcome.
 func (c *Cache) Do(ctx context.Context, key Key, gen uint64, fn func() (Computed, error)) (Computed, Source, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		res := el.Value.(*entry).res
-		c.hits++
-		c.m.hits.Add(1)
-		c.mu.Unlock()
-		return res, SourceHit, nil
-	}
-	if f, ok := c.flights[key]; ok {
+	for {
+		c.mu.Lock()
+		if el, ok := c.byKey[key]; ok {
+			c.lru.MoveToFront(el)
+			res := el.Value.(*entry).res
+			c.hits++
+			c.m.hits.Add(1)
+			c.mu.Unlock()
+			return res, SourceHit, nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			break // lead a new flight, still holding the lock
+		}
 		c.mu.Unlock()
 		select {
 		case <-f.done:
 		case <-ctx.Done():
 			return Computed{}, SourceShared, ctx.Err()
+		}
+		if exec.IsCancellation(f.err) && ctx.Err() == nil {
+			continue
 		}
 		c.mu.Lock()
 		c.sharedN++

@@ -203,6 +203,78 @@ func TestCacheFollowerContextCancel(t *testing.T) {
 	}
 }
 
+// waitSignal is a context that reports the first read of its Done
+// channel; Do reads a follower's Done only to wait on a flight, so the
+// signal marks the follower as joined.
+type waitSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (w *waitSignal) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.waiting) })
+	return w.Context.Done()
+}
+
+// TestCacheFollowerOutlivesLeaderCancel pins that a follower does not
+// inherit the leader's cancellation: the leader's client goes away
+// mid-compute, and a follower whose own context is live computes the
+// key itself instead of failing with the leader's context error.
+func TestCacheFollowerOutlivesLeaderCancel(t *testing.T) {
+	for _, leaderErr := range []error{context.Canceled, context.DeadlineExceeded} {
+		t.Run(leaderErr.Error(), func(t *testing.T) {
+			c := New(Options{})
+			k := mustKey(t, 1, "slow", 2)
+			leaderCtx, cancelLeader := context.WithCancel(context.Background())
+			leaderDone := make(chan error, 1)
+			go func() {
+				_, _, err := c.Do(leaderCtx, k, 1, func() (Computed, error) {
+					<-leaderCtx.Done()
+					return Computed{}, fmt.Errorf("compute stopped: %w", leaderErr)
+				})
+				leaderDone <- err
+			}()
+			for c.Stats().InFlight == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			follower := &waitSignal{Context: context.Background(), waiting: make(chan struct{})}
+			followerDone := make(chan struct{})
+			var (
+				res Computed
+				src Source
+				err error
+			)
+			go func() {
+				defer close(followerDone)
+				res, src, err = c.Do(follower, k, 1, func() (Computed, error) {
+					return Computed{Value: "mine", Bytes: 1, Units: 7}, nil
+				})
+			}()
+			<-follower.waiting
+			cancelLeader()
+			if lerr := <-leaderDone; !errors.Is(lerr, leaderErr) {
+				t.Fatalf("leader err=%v, want %v", lerr, leaderErr)
+			}
+			<-followerDone
+			if err != nil {
+				t.Fatalf("follower inherited the leader's cancellation: %v", err)
+			}
+			if src != SourceComputed || res.Value != "mine" || res.Units != 7 {
+				t.Fatalf("follower got src=%v value=%v units=%d, want its own computed result", src, res.Value, res.Units)
+			}
+			if _, ok := c.Get(k); !ok {
+				t.Error("the follower's recompute was not stored")
+			}
+			// One lookup per call, by final outcome: two misses.
+			st := c.Stats()
+			if st.Hits != 0 || st.Misses != 2 || st.Shared != 0 {
+				t.Errorf("hits %d, misses %d, shared %d; want two misses for two calls", st.Hits, st.Misses, st.Shared)
+			}
+		})
+	}
+}
+
 func TestCacheEntryBound(t *testing.T) {
 	c := New(Options{MaxEntries: 3})
 	for i := 0; i < 5; i++ {

@@ -60,8 +60,10 @@ func newChaosSystem(t *testing.T) (*system.System, []ingest.Batch, *obs.Registry
 //   - no cross-generation serving: every response's generation lies in
 //     the [before, after] window of its own request, and all responses
 //     for the same (params, generation) are DeepEqual-identical;
-//   - accounting closes: hits + misses + shared == total requests, and
-//     misses never exceed distinct (params, generation) keys;
+//   - accounting closes: hits + misses + shared == total lookups — one
+//     per request plus the shared aggregate lookup of each computed
+//     select — and misses never exceed the distinct (params,
+//     generation) keys plus one aggregate key per generation;
 //   - no leaks after the storm: zero in-flight computes, entries within
 //     bounds, superseded generations swept, zero live sessions after
 //     the drain.
@@ -83,7 +85,8 @@ func TestChaosConcurrentTenantsDuringAppends(t *testing.T) {
 	}
 	// Warm the cache at the current generation so the appends below have
 	// entries to sweep — EvictBelow coverage must not depend on timing.
-	if _, err := m.Run(ctx, "t0", Request{Op: "select", Params: map[string]string{"minmean": "5"}}); err != nil {
+	warm, err := m.Run(ctx, "t0", Request{Op: "select", Params: map[string]string{"minmean": "5"}})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,6 +94,7 @@ func TestChaosConcurrentTenantsDuringAppends(t *testing.T) {
 		params string
 		gen    uint64
 		value  any
+		source string
 	}
 	var (
 		mu        sync.Mutex
@@ -99,14 +103,14 @@ func TestChaosConcurrentTenantsDuringAppends(t *testing.T) {
 		wg        sync.WaitGroup
 		appenderW sync.WaitGroup
 	)
-	record := func(params string, gen uint64, value any, err error) {
+	record := func(params string, gen uint64, value any, source string, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if err == nil {
-			seen = append(seen, obsn{params, gen, value})
+			seen = append(seen, obsn{params, gen, value, source})
 		}
 	}
 
@@ -115,7 +119,7 @@ func TestChaosConcurrentTenantsDuringAppends(t *testing.T) {
 		defer appenderW.Done()
 		for _, b := range batches[1:] {
 			if _, err := sys.IngestAppend(b); err != nil {
-				record("", 0, nil, err)
+				record("", 0, nil, "", err)
 			}
 		}
 	}()
@@ -137,16 +141,16 @@ func TestChaosConcurrentTenantsDuringAppends(t *testing.T) {
 					resp, err := m.Run(ctx, id, req)
 					g1 := sys.Generation()
 					if err != nil {
-						record(minmean, 0, nil, err)
+						record(minmean, 0, nil, "", err)
 						continue
 					}
 					if resp.Generation < g0 || resp.Generation > g1 {
-						record(minmean, 0, nil,
+						record(minmean, 0, nil, "",
 							fmt.Errorf("cross-generation serve: got gen %d outside request window [%d, %d]",
 								resp.Generation, g0, g1))
 						continue
 					}
-					record(minmean, resp.Generation, resp.Result, nil)
+					record(minmean, resp.Generation, resp.Result, resp.Source, nil)
 				}
 			}(i)
 		}
@@ -175,15 +179,27 @@ func TestChaosConcurrentTenantsDuringAppends(t *testing.T) {
 	if stats.InFlight != 0 {
 		t.Errorf("in-flight computes leaked: %d", stats.InFlight)
 	}
-	total := int64(len(seen)) // includes the warmup run via seen? no — warmup not recorded
-	total++                   // the warmup run
+	// Every request is one lookup, and every computed select looks up
+	// its tissue aggregate once more.
+	total := int64(len(seen)) + 1 // the recorded runs and the warmup
+	gens := map[uint64]bool{warm.Generation: true}
+	if warm.Source == "computed" {
+		total++
+	}
+	for _, o := range seen {
+		gens[o.gen] = true
+		if o.source == "computed" {
+			total++
+		}
+	}
 	if got := stats.Hits + stats.Misses + stats.Shared; got != total {
-		t.Errorf("accounting leak: hits %d + misses %d + shared %d = %d, want %d requests",
+		t.Errorf("accounting leak: hits %d + misses %d + shared %d = %d, want %d lookups",
 			stats.Hits, stats.Misses, stats.Shared, got, total)
 	}
-	if stats.Misses > int64(len(distinct))+1 { // +1 for the warmup key
-		t.Errorf("misses %d exceed %d distinct (params, generation) keys — single-flight or keying broke",
-			stats.Misses, len(distinct)+1)
+	// +1 for the warmup key, and one aggregate key per generation.
+	if bound := int64(len(distinct) + 1 + len(gens)); stats.Misses > bound {
+		t.Errorf("misses %d exceed %d distinct (params, generation) and aggregate keys — single-flight or keying broke",
+			stats.Misses, bound)
 	}
 	if stats.Swept < 1 {
 		t.Errorf("swept = %d; appends retired generations but nothing was evicted", stats.Swept)

@@ -12,6 +12,7 @@ import (
 	"gea/internal/interval"
 	"gea/internal/lineage"
 	"gea/internal/sage"
+	"gea/internal/system"
 )
 
 // Request is one operator invocation against a session. Params are
@@ -50,8 +51,8 @@ type Response struct {
 }
 
 // computeFn is what an op hands to System.CachedQueryCtx: a pure
-// function of the metered Ctl and the generation's dataset snapshot.
-type computeFn = func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error)
+// function of the metered Ctl and the generation's snapshot.
+type computeFn = func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error)
 
 // opSpec is one entry of the operator catalog: build parses the raw
 // request params into (canonical key params, compute closure). The key
@@ -205,20 +206,39 @@ func sumyBytes(s *core.Sumy) int64 { return int64(len(s.Rows))*64 + 128 }
 func gapBytes(g *core.Gap) int64   { return int64(len(g.Rows))*48 + 128 }
 func enumBytes(e *core.Enum) int64 { return int64(len(e.Rows)+len(e.Cols))*8 + 64 }
 
-// aggregateSnapshot is the shared "tissue → SUMY" step several ops
-// build on. Result names are pure functions of the params so repeated
-// computes are DeepEqual-identical.
-func aggregateSnapshot(c *exec.Ctl, data *sage.Dataset, tissue string, withMedian bool) (*core.Sumy, bool, error) {
-	sub, err := subsetOf(data, tissue)
+// aggregateOf is the aggregate op's compute: tissue → SUMY. Result
+// names are pure functions of the params so repeated computes are
+// DeepEqual-identical.
+func aggregateOf(p aggregateParams, data *sage.Dataset) system.SubCompute {
+	return func(c *exec.Ctl) (any, int64, bool, error) {
+		sub, err := subsetOf(data, p.Tissue)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		label := p.Tissue
+		if label == "" {
+			label = "corpus"
+		}
+		e := core.FullEnum("session.enum:"+label, sub)
+		sm, partial, err := core.AggregateWith(c, "session.agg:"+label, e, core.AggregateOptions{WithMedian: p.WithMedian})
+		if err != nil {
+			return nil, 0, false, err
+		}
+		return sm, sumyBytes(sm), partial, nil
+	}
+}
+
+// sharedAggregate is the tissue → SUMY step every composite op (diff,
+// topgap, select, populate, rangesearch) starts with. It is looked up
+// in the result cache under the key an explicit aggregate request
+// uses, so each generation computes each tissue's SUMY once.
+func sharedAggregate(c *exec.Ctl, snap system.Snapshot, tissue string) (*core.Sumy, bool, error) {
+	p := aggregateParams{Tissue: tissue}
+	v, partial, err := snap.Shared(c, "session.aggregate", p, aggregateOf(p, snap.Data))
 	if err != nil {
 		return nil, false, err
 	}
-	label := tissue
-	if label == "" {
-		label = "corpus"
-	}
-	e := core.FullEnum("session.enum:"+label, sub)
-	return core.AggregateWith(c, "session.agg:"+label, e, core.AggregateOptions{WithMedian: withMedian})
+	return v.(*core.Sumy), partial, nil
 }
 
 // ---- operator builders ---------------------------------------------------
@@ -249,8 +269,8 @@ func buildMine(raw map[string]string) (any, computeFn, error) {
 		return nil, nil, err
 	}
 	p := mineParams{Tissue: raw["tissue"], K: k, MinSize: minSize, TolPct: tolPct, Algorithm: algName}
-	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
-		sub, err := subsetOf(data, p.Tissue)
+	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
+		sub, err := subsetOf(snap.Data, p.Tissue)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -292,12 +312,8 @@ func buildAggregate(raw map[string]string) (any, computeFn, error) {
 		return nil, nil, err
 	}
 	p := aggregateParams{Tissue: raw["tissue"], WithMedian: median}
-	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
-		sm, partial, err := aggregateSnapshot(c, data, p.Tissue, p.WithMedian)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		return sm, sumyBytes(sm), partial, nil
+	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
+		return aggregateOf(p, snap.Data)(c)
 	}
 	return p, compute, nil
 }
@@ -312,12 +328,12 @@ func buildDiff(raw map[string]string) (any, computeFn, error) {
 		return nil, nil, &ParamError{Param: "a/b", Reason: "diff needs two distinct tissues"}
 	}
 	p := diffParams{TissueA: a, TissueB: b}
-	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
-		sa, pa, err := aggregateSnapshot(c, data, p.TissueA, false)
+	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
+		sa, pa, err := sharedAggregate(c, snap, p.TissueA)
 		if err != nil {
 			return nil, 0, false, err
 		}
-		sb, pb, err := aggregateSnapshot(c, data, p.TissueB, false)
+		sb, pb, err := sharedAggregate(c, snap, p.TissueB)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -345,12 +361,12 @@ func buildPopulate(raw map[string]string) (any, computeFn, error) {
 		return nil, nil, &ParamError{Param: "tissue", Reason: "populate needs a tissue to profile"}
 	}
 	p := populateParams{Tissue: raw["tissue"]}
-	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
-		sm, pa, err := aggregateSnapshot(c, data, p.Tissue, false)
+	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
+		sm, pa, err := sharedAggregate(c, snap, p.Tissue)
 		if err != nil {
 			return nil, 0, false, err
 		}
-		e, stats, pp, err := core.PopulateWith(c, "session.pop:"+p.Tissue, sm, data, nil, core.PopulateOptions{})
+		e, stats, pp, err := core.PopulateWith(c, "session.pop:"+p.Tissue, sm, snap.Data, nil, core.PopulateOptions{})
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -370,8 +386,8 @@ func buildSelect(raw map[string]string) (any, computeFn, error) {
 		return nil, nil, err
 	}
 	p := selectParams{Tissue: raw["tissue"], MinMean: minMean}
-	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
-		sm, pa, err := aggregateSnapshot(c, data, p.Tissue, false)
+	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
+		sm, pa, err := sharedAggregate(c, snap, p.Tissue)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -414,14 +430,14 @@ func buildRangeSearch(raw map[string]string) (any, computeFn, error) {
 		return nil, nil, err
 	}
 	p := rangeSearchParams{TissueA: raw["a"], TissueB: raw["b"], Lo: lo, Hi: hi, FirstTag: first, LastTag: last}
-	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
+	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
 		var sumys []*core.Sumy
 		partial := false
 		for _, tissue := range []string{p.TissueA, p.TissueB} {
 			if tissue == "" && len(sumys) > 0 {
 				continue
 			}
-			sm, pa, err := aggregateSnapshot(c, data, tissue, false)
+			sm, pa, err := sharedAggregate(c, snap, tissue)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -429,8 +445,8 @@ func buildRangeSearch(raw map[string]string) (any, computeFn, error) {
 			sumys = append(sumys, sm)
 		}
 		last := sage.TagID(p.LastTag)
-		if p.LastTag <= 0 && data.NumTags() > 0 {
-			last = data.Tags[len(data.Tags)-1]
+		if p.LastTag <= 0 && snap.Data.NumTags() > 0 {
+			last = snap.Data.Tags[len(snap.Data.Tags)-1]
 		}
 		rows, pr, err := core.RangeSearchWith(c, sumys, sage.TagID(p.FirstTag), last,
 			core.BroadOverlap(interval.New(p.Lo, p.Hi)))
@@ -460,12 +476,12 @@ func buildTopGap(raw map[string]string) (any, computeFn, error) {
 		return nil, nil, &ParamError{Param: "x", Reason: fmt.Sprintf("top count must be positive, got %d", x)}
 	}
 	p := topGapParams{TissueA: a, TissueB: b, X: x}
-	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
-		sa, pa, err := aggregateSnapshot(c, data, p.TissueA, false)
+	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
+		sa, pa, err := sharedAggregate(c, snap, p.TissueA)
 		if err != nil {
 			return nil, 0, false, err
 		}
-		sb, pb, err := aggregateSnapshot(c, data, p.TissueB, false)
+		sb, pb, err := sharedAggregate(c, snap, p.TissueB)
 		if err != nil {
 			return nil, 0, false, err
 		}

@@ -2,8 +2,10 @@ package system
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"gea/internal/core"
 	"gea/internal/sage"
 )
 
@@ -76,6 +78,28 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	}
 	if gotTop.Len() != top.Len() {
 		t.Error("top gap changed")
+	}
+	// Restored tables are DeepEqual to the originals — a tag-ordered GAP
+	// stays unindexed, a display-ordered top-gap keeps its order and
+	// index — and Row agrees for every tag.
+	if !reflect.DeepEqual(sm, orig) {
+		t.Errorf("restored SUMY %s is not DeepEqual to the original", orig.Name)
+	}
+	for _, r := range orig.Rows {
+		if row, ok := sm.Row(r.Tag); !ok || !reflect.DeepEqual(row, r) {
+			t.Fatalf("restored SUMY row for %v = %+v, %v; want %+v", r.Tag, row, ok, r)
+		}
+	}
+	for _, pair := range [][2]*core.Gap{{g, origGap}, {gotTop, top}} {
+		restored, original := pair[0], pair[1]
+		if !reflect.DeepEqual(restored, original) {
+			t.Errorf("restored GAP %s is not DeepEqual to the original", original.Name)
+		}
+		for _, r := range original.Rows {
+			if row, ok := restored.Row(r.Tag); !ok || !reflect.DeepEqual(row, r) {
+				t.Fatalf("restored GAP %s row for %v = %+v, %v; want %+v", original.Name, r.Tag, row, ok, r)
+			}
+		}
 	}
 	// Fascicles with their mined structure.
 	fas, err := got.Fascicle(pure)

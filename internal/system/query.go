@@ -46,18 +46,93 @@ type QueryResult struct {
 	Record *obs.Record
 }
 
+// Snapshot is what a cached query's compute reads: one generation's
+// immutable dataset, and through Shared the result cache at that same
+// generation.
+type Snapshot struct {
+	Data       *sage.Dataset
+	Generation uint64
+
+	ctx   context.Context
+	cache *rescache.Cache
+	// reused sums the units Shared charged for sub-results this run did
+	// not compute; the tenant is not charged for them.
+	reused *int64
+}
+
+// SubCompute computes one shared sub-result on the caller's Ctl: the
+// value, its approximate byte size and whether it was budget-stopped.
+type SubCompute func(c *exec.Ctl) (value any, bytes int64, partial bool, err error)
+
+// Shared returns the (op, params) sub-result at the snapshot's
+// generation, through the result cache under the key an explicit
+// request for it uses, so each sub-result is computed once per
+// generation and a composite operator pays only for its own step. The
+// lookup calls the cache directly and never takes an admission slot.
+//
+// On a miss the caller leads the flight and computes on c, exactly as
+// it would without the cache. A stored or shared result is reused only
+// when c can pay its recorded units without stopping; they are then
+// charged to c inside a root span of their own, so replies report the
+// same units as a cold run and span trees still account for them. A
+// result c cannot afford, or a budget-stopped one joined from another
+// flight, is recomputed on c instead, so a budget-stopped composite is
+// identical to a cold one.
+func (sn Snapshot) Shared(c *exec.Ctl, op string, params any, compute SubCompute) (any, bool, error) {
+	own := func() (any, bool, error) {
+		v, _, partial, err := compute(c)
+		return v, partial, err
+	}
+	if sn.cache == nil {
+		return own()
+	}
+	key, err := rescache.Canonical(sn.Generation, op, params)
+	if err != nil {
+		return own()
+	}
+	res, src, err := sn.cache.Do(sn.ctx, key, sn.Generation, func() (rescache.Computed, error) {
+		before := c.Units()
+		v, bytes, partial, err := compute(c)
+		if err != nil {
+			return rescache.Computed{}, err
+		}
+		return rescache.Computed{Value: v, Bytes: bytes, Units: c.Units() - before, Partial: partial, Record: c.RunRecord()}, nil
+	})
+	if err != nil || src == rescache.SourceComputed {
+		return res.Value, res.Partial, err
+	}
+	if res.Partial || !c.Affords(res.Units) {
+		return own()
+	}
+	if err := chargeReuse(c, op, res.Units); err != nil {
+		return nil, false, err
+	}
+	*sn.reused += res.Units
+	return res.Value, false, nil
+}
+
+// chargeReuse charges a reused sub-result's recorded units to c inside
+// its own root span.
+func chargeReuse(c *exec.Ctl, op string, units int64) (err error) {
+	sp := c.StartSpan("system.Reuse")
+	sp.SetInput("%s: %d units", op, units)
+	defer c.EndSpan(sp, nil, &err)
+	return c.Point(units)
+}
+
 // CachedQueryCtx runs one read-only operator over the session's root
 // corpus through the result cache: the request takes an admission
 // slot, its limits are shaped by the queue-wide state and then by the
 // tenant's envelope, the (generation, op, params) key is canonicalized,
 // and identical in-flight requests single-flight onto one compute.
-// compute receives the metered Ctl and an immutable dataset snapshot;
-// it must derive everything from those two (never from the live
-// session registries) and return the value, its approximate byte size
-// and whether it was budget-stopped. Budget-stopped partials are
-// returned but never cached. A canonicalization error (non-data
-// params) is not fatal: the query simply runs uncached.
-func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params any, lim exec.Limits, compute func(c *exec.Ctl, data *sage.Dataset) (value any, bytes int64, partial bool, err error)) (QueryResult, error) {
+// compute receives the metered Ctl and an immutable snapshot; it must
+// derive everything from those two (never from the live session
+// registries) and return the value, its approximate byte size and
+// whether it was budget-stopped. Budget-stopped partials are returned
+// but never cached. A canonicalization error (non-data params) is not
+// fatal: the query simply runs uncached. The tenant is charged only the
+// units this call computed, not those of sub-results it reused.
+func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params any, lim exec.Limits, compute func(c *exec.Ctl, snap Snapshot) (value any, bytes int64, partial bool, err error)) (QueryResult, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
 		return QueryResult{}, err
@@ -75,14 +150,14 @@ func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params a
 	// always matches the corpus the compute reads, even while an append
 	// commits the next generation.
 	s.mu.Lock()
-	data := s.Data
-	gen := s.generation
+	snap := Snapshot{Data: s.Data, Generation: s.generation, ctx: ctx, cache: s.rescache, reused: new(int64)}
 	s.mu.Unlock()
+	gen := snap.Generation
 
 	var trace exec.Trace
 	run := func() (rescache.Computed, error) {
 		c := exec.New(ctx, lim)
-		value, bytes, partial, err := compute(c, data)
+		value, bytes, partial, err := compute(c, snap)
 		trace = c.Snapshot(partial)
 		if err != nil {
 			return rescache.Computed{}, err
@@ -119,8 +194,9 @@ func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params a
 	}
 	if src == rescache.SourceComputed {
 		// Only the caller that actually burned the units pays for them;
-		// hits and shared joins ride for free by design.
-		s.tenants.Charge(tenant, res.Units)
+		// hits, shared joins and reused sub-results ride for free by
+		// design.
+		s.tenants.Charge(tenant, res.Units-*snap.reused)
 	}
 	out.Value = res.Value
 	out.Units = res.Units
