@@ -8,11 +8,11 @@ import (
 )
 
 // cmdIngest streams a synthetic corpus into an append store batch by
-// batch: each batch is screened, folded into the maintained view
-// incrementally, and durably committed as one corpus generation. Running
-// it against a directory that already holds a corpus (from "gea gen" or
-// a previous ingest) appends on top of the existing generations — the
-// store upgrades a plain SaveCorpus directory for free.
+// batch: each batch is screened, cleaned together with the corpus before
+// it into the next view, and durably committed as one corpus generation.
+// Running it against a directory that already holds a corpus (from "gea
+// gen" or a previous ingest) appends on top of the existing generations
+// — the store upgrades a plain SaveCorpus directory for free.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	dir := fs.String("dir", "SageLibrary", "append-store directory (created if missing)")

@@ -37,6 +37,7 @@ func writeSessionError(w http.ResponseWriter, r *http.Request, err error) {
 	var busy *gea.ErrBusy
 	var overload *gea.ErrOverload
 	var param *gea.SessionParamError
+	var mineParam *gea.FascicleParamError
 	var exists *gea.ErrSessionExists
 	switch {
 	case errors.As(err, &busy):
@@ -48,7 +49,7 @@ func writeSessionError(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, gea.ErrShuttingDown):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.As(err, &param):
+	case errors.As(err, &param), errors.As(err, &mineParam):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, gea.ErrSessionUnknown):
 		http.Error(w, err.Error(), http.StatusNotFound)

@@ -17,7 +17,7 @@ import (
 
 // sessionMux builds a cached session-serving mux over the small
 // synthetic corpus.
-func sessionMux(t *testing.T, opts serveOptions) (*gateway, *http.ServeMux) {
+func sessionMux(t testing.TB, opts serveOptions) (*gateway, *http.ServeMux) {
 	t.Helper()
 	res, err := gea.Generate(gea.SmallConfig())
 	if err != nil {
@@ -35,7 +35,7 @@ func sessionMux(t *testing.T, opts serveOptions) (*gateway, *http.ServeMux) {
 }
 
 // do runs one request through the mux without a network listener.
-func do(t *testing.T, mux *http.ServeMux, method, url, body string) *httptest.ResponseRecorder {
+func do(t testing.TB, mux *http.ServeMux, method, url, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	var r *http.Request
 	if body == "" {
@@ -126,6 +126,11 @@ func TestServeSessionConformance(t *testing.T) {
 		`{"op":"mine","params":{"k":"many"}}`,
 		`{"op":"diff","params":{"a":"brain","b":"brain"}}`,
 		`not json`,
+		`{"op":"mine","params":{"tissue":"brain","tolerance":"200"}}`,
+		`{"op":"mine","params":{"tissue":"brain","minsize":"0"}}`,
+		`{"op":"mine","params":{"tissue":"brain","k":"100000"}}`,
+		`{"op":"rangesearch","params":{"a":"brain","firsttag":"-5"}}`,
+		`{"op":"rangesearch","params":{"a":"brain","firsttag":"100","lasttag":"5"}}`,
 	} {
 		if rr := do(t, mux, http.MethodPost, "/session/alpha/run", body); rr.Code != http.StatusBadRequest {
 			t.Errorf("run %s = %d, want 400", body, rr.Code)

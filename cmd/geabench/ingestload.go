@@ -6,25 +6,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strconv"
 	"time"
 
 	"gea"
 )
 
-// This file holds the two ingestion BENCH series.
-//
-// "geabench -ingest URL" is the remote one: it streams a generated corpus
-// into a running "gea serve -ingest" instance as POST /ingest batches,
-// retrying 429/503 answers per the server's Retry-After advice exactly
-// like the -serve load generator — the CI soak runs it concurrently with
-// -serve query load to prove appends and reads coexist under drain.
-//
-// "geabench -exp ingest" is the local one: it measures incremental view
-// maintenance (Rebuild once, then Apply per batch) against a from-scratch
-// Rebuild of the final corpus at several batch splits, asserting the two
-// end states are identical before reporting the walls.
+// This file holds the ingestion BENCH series. "geabench -ingest URL"
+// streams a generated corpus into a running "gea serve -ingest" instance
+// as POST /ingest batches, retrying 429/503 answers per the server's
+// Retry-After advice exactly like the -serve load generator — the CI
+// soak runs it concurrently with -serve query load to prove appends and
+// reads coexist under drain.
 
 // ingestReply is the subset of the server's /ingest body the loader reads.
 type ingestReply struct {
@@ -151,63 +144,4 @@ func batchSizeOf(batches [][]*gea.Library) int {
 		return 0
 	}
 	return len(batches[0])
-}
-
-// expIngest measures incremental view maintenance against from-scratch
-// rebuilds. For each split n the final corpus is identical; the series
-// contrasts one Rebuild of everything with Rebuild(first batch) followed
-// by n-1 Applies. The end states are asserted identical first — a wall
-// time for a wrong answer is worthless.
-func expIngest(e *env) error {
-	libs := e.res.Corpus.Libraries
-	fmt.Printf("corpus: %d libraries; maintained aggregate + ranking + indexes per generation\n", len(libs))
-	fmt.Println("batches | rebuild wall | incremental wall | libraries/s (incremental)")
-	for _, n := range []int{1, 2, 4, 8} {
-		if n > len(libs) {
-			break
-		}
-		batches, _, err := gea.EmitBatches(e.cfg, n)
-		if err != nil {
-			return err
-		}
-
-		rebuildStart := time.Now()
-		full, err := gea.RebuildIngestView(e.res.Corpus, gea.IngestViewOptions{})
-		if err != nil {
-			return err
-		}
-		rebuildWall := time.Since(rebuildStart)
-
-		incStart := time.Now()
-		view, err := gea.RebuildIngestView(&gea.Corpus{Libraries: batches[0]}, gea.IngestViewOptions{})
-		if err != nil {
-			return err
-		}
-		for _, b := range batches[1:] {
-			if view, err = view.Apply(b); err != nil {
-				return err
-			}
-		}
-		incWall := time.Since(incStart)
-
-		if !reflect.DeepEqual(view.Sumy, full.Sumy) || !reflect.DeepEqual(view.Ranked, full.Ranked) {
-			return fmt.Errorf("split %d: incremental maintenance diverged from rebuild", n)
-		}
-		libsPerSec := float64(len(libs)) / incWall.Seconds()
-		fmt.Printf("%7d | %12v | %16v | %.1f\n",
-			n, rebuildWall.Round(time.Microsecond), incWall.Round(time.Microsecond), libsPerSec)
-		if e.jsonOut {
-			e.bench = append(e.bench, benchRecord{
-				Op: "ingest.incremental", Workers: 1, WallNS: incWall.Nanoseconds(),
-				Wall: incWall.Round(time.Microsecond).String(), Units: int64(len(libs)),
-				Reps: n, BatchSize: len(batches[0]), LibsPerSec: libsPerSec,
-			})
-			e.bench = append(e.bench, benchRecord{
-				Op: "ingest.rebuild", Workers: 1, WallNS: rebuildWall.Nanoseconds(),
-				Wall: rebuildWall.Round(time.Microsecond).String(), Units: int64(len(libs)),
-				Reps: n, BatchSize: len(batches[0]), LibsPerSec: float64(len(libs)) / rebuildWall.Seconds(),
-			})
-		}
-	}
-	return nil
 }

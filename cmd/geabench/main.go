@@ -30,8 +30,6 @@
 //	geabench -ingest URL              stream a generated corpus into a
 //	                                  running "gea serve -ingest" server as
 //	                                  -batches POST /ingest appends
-//	geabench -exp ingest              incremental view maintenance vs
-//	                                  from-scratch rebuild walls
 package main
 
 import (
@@ -185,7 +183,6 @@ func main() {
 		{"scaling", "operator complexity (Section 3.3.1)", expScaling},
 		{"seeds", "robustness: pipeline outcome across generator seeds", expSeeds},
 		{"perf", "sharded evaluation: sequential vs -workers N", expPerf},
-		{"ingest", "incremental view maintenance vs from-scratch rebuild", expIngest},
 	}
 
 	if *expName == "list" {

@@ -1,13 +1,13 @@
 package gea
 
 // Streaming ingestion (internal/ingest): the crash-safe append path. A
-// session built with SystemOptions.Ingest maintains its cleaned corpus,
-// SUMY aggregate, entropy ranking and sorted indexes incrementally as
-// batches of new libraries arrive, committing each batch as a new corpus
-// generation through the atomicio protocol — a crash at any write
-// boundary rolls back to the previous generation, transient I/O faults
-// are retried with backoff, and schema-violating submissions land in a
-// quarantine directory with a salvage report.
+// session built with SystemOptions.Ingest rebuilds its cleaned dataset
+// from the whole raw corpus as batches of new libraries arrive,
+// committing each batch as a new corpus generation through the atomicio
+// protocol — a crash at any write boundary rolls back to the previous
+// generation, transient I/O faults are retried with backoff, and
+// schema-violating submissions land in a quarantine directory with a
+// salvage report.
 
 import (
 	"gea/internal/ingest"
@@ -30,12 +30,9 @@ type (
 	// IngestRetryPolicy retries transient faults with exponential backoff
 	// and fails fast on corruption and schema violations.
 	IngestRetryPolicy = ingest.RetryPolicy
-	// IngestView is one immutable derived-state generation (cleaned
-	// corpus, dataset, SUMY, ranking, indexes) plus the running state
-	// that lets the next generation fold in incrementally.
+	// IngestView is one immutable corpus generation: its raw corpus,
+	// cleaned dataset and cleaning report.
 	IngestView = ingest.View
-	// IngestViewOptions configure the maintained view.
-	IngestViewOptions = ingest.ViewOptions
 	// IngestSchemaError describes one invalid submission.
 	IngestSchemaError = ingest.SchemaError
 	// IngestClass sorts a failure into the retry taxonomy.
@@ -68,9 +65,6 @@ var (
 	IngestBatchFromLibraries = ingest.BatchFromLibraries
 	// ScreenIngestBatch validates a batch against existing library names.
 	ScreenIngestBatch = ingest.Screen
-	// RebuildIngestView builds a maintained view from scratch; the
-	// incremental path (View.Apply) is bit-identical to it.
-	RebuildIngestView = ingest.Rebuild
 	// EmitBatches yields the same planted-signature synthetic corpus as
 	// Generate, split into n append batches for streaming-ingestion runs.
 	EmitBatches = sagegen.EmitBatches

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gea/internal/exec"
 	"gea/internal/sage"
 )
 
@@ -69,11 +70,20 @@ func (r *Report) RemovedTagFraction() float64 {
 // Clean runs the pipeline on a copy of the corpus and returns the cleaned
 // corpus plus the report. The input corpus is not modified.
 func Clean(c *sage.Corpus, opts Options) (*sage.Corpus, *Report, error) {
-	if opts.MinTolerance < 0 {
-		return nil, nil, fmt.Errorf("clean: negative MinTolerance %v", opts.MinTolerance)
-	}
 	if len(c.Libraries) == 0 {
 		return nil, nil, fmt.Errorf("clean: empty corpus")
+	}
+	return Corpus(exec.Background(), c, opts)
+}
+
+// Corpus is the metered implementation behind Clean, charging one work
+// unit per library in each of its two passes. It cleans an empty corpus
+// to an empty one, since an append store starts empty. A budget stop or
+// cancellation is an error, never a partly cleaned corpus: cleaning is
+// corpus-wide, so half a pass describes no generation.
+func Corpus(c *exec.Ctl, corpus *sage.Corpus, opts Options) (*sage.Corpus, *Report, error) {
+	if opts.MinTolerance < 0 {
+		return nil, nil, fmt.Errorf("clean: negative MinTolerance %v", opts.MinTolerance)
 	}
 	scaleTo := opts.ScaleTo
 	if scaleTo == 0 {
@@ -82,7 +92,10 @@ func Clean(c *sage.Corpus, opts Options) (*sage.Corpus, *Report, error) {
 
 	// Pass 1: per-tag maximum across libraries.
 	maxCount := make(map[sage.TagID]float64)
-	for _, l := range c.Libraries {
+	for _, l := range corpus.Libraries {
+		if err := c.Point(1); err != nil {
+			return nil, nil, err
+		}
 		for t, cnt := range l.Counts {
 			if cnt > maxCount[t] {
 				maxCount[t] = cnt
@@ -90,6 +103,7 @@ func Clean(c *sage.Corpus, opts Options) (*sage.Corpus, *Report, error) {
 		}
 	}
 	keep := make(map[sage.TagID]bool, len(maxCount))
+	//lint:gea ctlcharge -- keep-set derivation is O(tags) map bookkeeping between the two charged library passes
 	for t, m := range maxCount {
 		if m > opts.MinTolerance {
 			keep[t] = true
@@ -103,7 +117,10 @@ func Clean(c *sage.Corpus, opts Options) (*sage.Corpus, *Report, error) {
 
 	// Pass 2: rebuild libraries with surviving tags, then normalize.
 	out := &sage.Corpus{}
-	for _, l := range c.Libraries {
+	for _, l := range corpus.Libraries {
+		if err := c.Point(1); err != nil {
+			return nil, nil, err
+		}
 		nl := sage.NewLibrary(l.Meta)
 		before := l.Total()
 		for t, cnt := range l.Counts {

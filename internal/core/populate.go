@@ -16,22 +16,21 @@ import (
 // populate calls.
 type TagIndexes struct {
 	data    *sage.Dataset
-	byCol   map[int][]IndexEntry // sorted by value
+	byCol   map[int][]indexEntry // sorted by value
 	colList []int
 }
 
-// IndexEntry is one (value, row) pair of a sorted column index. Entries
+// indexEntry is one (value, row) pair of a sorted column index. Entries
 // are ordered by value, ties by row (BuildTagIndexes sorts stably over
-// row-ascending input), which is the order incremental maintenance in
-// internal/ingest must reproduce.
-type IndexEntry struct {
+// row-ascending input).
+type indexEntry struct {
 	V   float64
 	Row int
 }
 
 // BuildTagIndexes creates sorted indexes on the given dataset columns.
 func BuildTagIndexes(d *sage.Dataset, cols []int) (*TagIndexes, error) {
-	ti := &TagIndexes{data: d, byCol: make(map[int][]IndexEntry, len(cols))}
+	ti := &TagIndexes{data: d, byCol: make(map[int][]indexEntry, len(cols))}
 	for _, c := range cols {
 		if c < 0 || c >= d.NumTags() {
 			return nil, fmt.Errorf("core: index column %d out of range [0, %d)", c, d.NumTags())
@@ -39,9 +38,9 @@ func BuildTagIndexes(d *sage.Dataset, cols []int) (*TagIndexes, error) {
 		if _, dup := ti.byCol[c]; dup {
 			continue
 		}
-		entries := make([]IndexEntry, d.NumLibraries())
+		entries := make([]indexEntry, d.NumLibraries())
 		for i := range d.Expr {
-			entries[i] = IndexEntry{V: d.Expr[i][c], Row: i}
+			entries[i] = indexEntry{V: d.Expr[i][c], Row: i}
 		}
 		sort.SliceStable(entries, func(a, b int) bool { return entries[a].V < entries[b].V })
 		ti.byCol[c] = entries
@@ -50,38 +49,6 @@ func BuildTagIndexes(d *sage.Dataset, cols []int) (*TagIndexes, error) {
 	sort.Ints(ti.colList)
 	return ti, nil
 }
-
-// TagIndexesFromSorted assembles TagIndexes from externally maintained
-// sorted runs (the incremental path in internal/ingest). Each run must be
-// in the exact (value, row)-lexicographic order BuildTagIndexes produces
-// and cover every row of d once; that invariant is checked cheaply (length
-// and ordering), not by re-sorting.
-func TagIndexesFromSorted(d *sage.Dataset, byCol map[int][]IndexEntry) (*TagIndexes, error) {
-	ti := &TagIndexes{data: d, byCol: make(map[int][]IndexEntry, len(byCol))}
-	for c, entries := range byCol {
-		if c < 0 || c >= d.NumTags() {
-			return nil, fmt.Errorf("core: index column %d out of range [0, %d)", c, d.NumTags())
-		}
-		if len(entries) != d.NumLibraries() {
-			return nil, fmt.Errorf("core: index column %d has %d entries, want %d",
-				c, len(entries), d.NumLibraries())
-		}
-		for i := 1; i < len(entries); i++ {
-			a, b := entries[i-1], entries[i]
-			if b.V < a.V || (b.V == a.V && b.Row < a.Row) {
-				return nil, fmt.Errorf("core: index column %d not in (value, row) order at %d", c, i)
-			}
-		}
-		ti.byCol[c] = entries
-		ti.colList = append(ti.colList, c)
-	}
-	sort.Ints(ti.colList)
-	return ti, nil
-}
-
-// Entries exposes the sorted run of column c (nil if the column carries no
-// index). Callers must not mutate it; the incremental maintainer copies.
-func (ti *TagIndexes) Entries(c int) []IndexEntry { return ti.byCol[c] }
 
 // NumIndexes returns how many columns carry indexes.
 func (ti *TagIndexes) NumIndexes() int { return len(ti.byCol) }

@@ -111,24 +111,6 @@ func RankByEntropy(d *sage.Dataset) []RankedTag {
 	return ranked
 }
 
-// RankFromEntropies ranks tags from externally computed per-column
-// entropies (tags[j] and entropies[j] describe dataset column j). It is
-// the sort half of RankByEntropy split out so incremental maintenance in
-// internal/ingest, which keeps per-column entropy state up to date across
-// appends, produces the exact ranking a from-scratch RankByEntropy would:
-// the same stable sort over the same column-ordered input.
-func RankFromEntropies(tags []sage.TagID, entropies []float64) ([]RankedTag, error) {
-	if len(tags) != len(entropies) {
-		return nil, fmt.Errorf("indexsel: %d tags but %d entropies", len(tags), len(entropies))
-	}
-	ranked := make([]RankedTag, len(tags))
-	for j, tag := range tags {
-		ranked[j] = RankedTag{Tag: tag, Col: j, Entropy: entropies[j]}
-	}
-	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].Entropy > ranked[b].Entropy })
-	return ranked, nil
-}
-
 // TopEntropyTags returns the m highest-entropy tags of the dataset — the
 // tags the GEA creates indexes for.
 func TopEntropyTags(d *sage.Dataset, m int) []RankedTag {

@@ -1,8 +1,6 @@
 // Package ingest implements crash-safe streaming ingestion: an append
 // path that commits batches of new libraries through atomicio generation
-// dirs and maintains the session's derived state — cleaning statistics,
-// the dense dataset, SUMY aggregates, entropy rankings and sorted column
-// indexes — incrementally instead of rebuilding from scratch.
+// dirs and builds each generation's cleaned dataset for serving.
 //
 // The package splits into three layers:
 //
@@ -14,16 +12,12 @@
 //     generation. Invalid submissions land in a quarantine dir with a
 //     salvage report instead of poisoning the corpus.
 //
-//   - View (view.go): the in-memory side. A View holds the cleaned
-//     corpus, dataset, SUMY table, entropy ranking and sorted indexes for
-//     one corpus generation, plus the running state (per-tag maxima,
-//     column moments, entropy histograms, sorted runs) that lets Apply
-//     fold a batch in without recomputing unchanged columns. Apply is
-//     copy-on-write: it returns a new View and never mutates the old one,
-//     so in-flight readers keep a consistent generation. Incremental
-//     maintenance is bit-identical to Rebuild on the same final corpus —
-//     the equivalence suite in view_test.go pins this at several batch
-//     splits.
+//   - View (view.go): the in-memory side. A View holds one generation's
+//     raw corpus, cleaned dataset and cleaning report. Build makes one
+//     by cleaning the whole raw corpus with clean.Corpus, the cleaning
+//     the frozen load path runs. An append builds a new View and never
+//     mutates the old one, so in-flight readers keep a consistent
+//     generation.
 //
 //   - this file: the failure taxonomy. Every fallible store step is
 //     wrapped in a RetryPolicy that retries transient I/O faults

@@ -2,6 +2,7 @@ package sage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -156,7 +157,7 @@ func (l *Library) Tags() []TagID {
 	for t := range l.Counts {
 		tags = append(tags, t)
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
+	slices.Sort(tags)
 	return tags
 }
 
@@ -248,7 +249,7 @@ func (c *Corpus) UnionTags() []TagID {
 	for t := range seen {
 		tags = append(tags, t)
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
+	slices.Sort(tags)
 	return tags
 }
 

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"gea/internal/clean"
@@ -163,6 +164,19 @@ func paramFloat(raw map[string]string, key string, def float64) (float64, error)
 	return f, nil
 }
 
+// paramTag parses an optional tag ID, 0 when absent; a value outside
+// the TagID range is a caller fault rather than a silent wraparound.
+func paramTag(raw map[string]string, key string) (int, error) {
+	n, err := paramInt(raw, key, 0)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 || int64(n) > math.MaxUint32 {
+		return 0, &ParamError{Param: key, Reason: fmt.Sprintf("tag ID %d out of [0, %d]", n, uint32(math.MaxUint32))}
+	}
+	return n, nil
+}
+
 func paramBool(raw map[string]string, key string) (bool, error) {
 	v, ok := raw[key]
 	if !ok || v == "" {
@@ -260,9 +274,15 @@ func buildMine(raw map[string]string) (any, computeFn, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if minSize < 1 {
+		return nil, nil, &ParamError{Param: "minsize", Reason: fmt.Sprintf("must be at least 1, got %d", minSize)}
+	}
 	tolPct, err := paramFloat(raw, "tolerance", 10)
 	if err != nil {
 		return nil, nil, err
+	}
+	if !(tolPct >= 0 && tolPct <= 100) {
+		return nil, nil, &ParamError{Param: "tolerance", Reason: fmt.Sprintf("percent %g out of [0, 100]", tolPct)}
 	}
 	alg, algName, err := paramAlgorithm(raw)
 	if err != nil {
@@ -421,16 +441,24 @@ func buildRangeSearch(raw map[string]string) (any, computeFn, error) {
 	if hi < lo {
 		return nil, nil, &ParamError{Param: "lo/hi", Reason: fmt.Sprintf("inverted query range [%g, %g]", lo, hi)}
 	}
-	first, err := paramInt(raw, "firsttag", 0)
+	first, err := paramTag(raw, "firsttag")
 	if err != nil {
 		return nil, nil, err
 	}
-	last, err := paramInt(raw, "lasttag", 0)
+	last, err := paramTag(raw, "lasttag")
 	if err != nil {
 		return nil, nil, err
 	}
 	p := rangeSearchParams{TissueA: raw["a"], TissueB: raw["b"], Lo: lo, Hi: hi, FirstTag: first, LastTag: last}
 	compute := func(c *exec.Ctl, snap system.Snapshot) (any, int64, bool, error) {
+		// lasttag 0 means the dataset's last tag, known only here.
+		last := sage.TagID(p.LastTag)
+		if p.LastTag == 0 && snap.Data.NumTags() > 0 {
+			last = snap.Data.Tags[len(snap.Data.Tags)-1]
+		}
+		if first := sage.TagID(p.FirstTag); first > last {
+			return nil, 0, false, &ParamError{Param: "firsttag/lasttag", Reason: fmt.Sprintf("inverted tag range %d-%d", first, last)}
+		}
 		var sumys []*core.Sumy
 		partial := false
 		for _, tissue := range []string{p.TissueA, p.TissueB} {
@@ -443,10 +471,6 @@ func buildRangeSearch(raw map[string]string) (any, computeFn, error) {
 			}
 			partial = partial || pa
 			sumys = append(sumys, sm)
-		}
-		last := sage.TagID(p.LastTag)
-		if p.LastTag <= 0 && snap.Data.NumTags() > 0 {
-			last = snap.Data.Tags[len(snap.Data.Tags)-1]
 		}
 		rows, pr, err := core.RangeSearchWith(c, sumys, sage.TagID(p.FirstTag), last,
 			core.BroadOverlap(interval.New(p.Lo, p.Hi)))

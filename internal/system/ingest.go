@@ -3,23 +3,23 @@ package system
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"gea/internal/exec"
 	"gea/internal/ingest"
 	"gea/internal/lineage"
 	"gea/internal/obs"
+	"gea/internal/sage"
 )
 
 // IngestOptions enables the streaming append path (Options.Ingest).
 type IngestOptions struct {
 	// Store is the durable append store the session commits batches
-	// through. Nil is allowed: the session then maintains the view purely
-	// in memory (useful in tests and for read-only replicas), and
+	// through. Nil is allowed: the session then keeps its generations
+	// purely in memory (useful in tests and for read-only replicas), and
 	// IngestAppendCtx applies batches without a durable commit.
 	Store *ingest.Store
-	// View configures cleaning, indexing and the maintained aggregate.
-	View ingest.ViewOptions
 	// Metrics optionally records the ingest.* series; nil disables
 	// instrumentation.
 	Metrics *obs.Registry
@@ -35,7 +35,7 @@ func (s *System) Generation() uint64 {
 	return s.generation
 }
 
-// IngestView snapshots the maintained view and its generation token. The
+// IngestView snapshots the current view and its generation token. The
 // view is immutable — the caller can read it lock-free for as long as it
 // keeps the pointer, even across concurrent appends. Nil when ingestion
 // is disabled.
@@ -55,13 +55,13 @@ func (s *System) IngestAppend(batch ingest.Batch) (*ingest.Report, error) {
 // IngestAppendCtx appends a batch of new libraries to the live corpus
 // under execution governance. The batch is screened against the current
 // name universe; invalid submissions are quarantined with a report and
-// never block the valid remainder. The valid libraries are folded into
-// the maintained view incrementally (bit-identical to a from-scratch
-// rebuild), durably committed as a new generation through the append
-// store, and only then swapped in for readers — a crash or commit
-// failure at any point leaves both the directory and the session on the
-// previous generation. Appends serialize among themselves but only
-// block readers for the pointer swap.
+// never block the valid remainder. The next view is built by cleaning
+// the old raw corpus followed by the valid libraries (ingest.Build), the
+// batch is durably committed as a new generation through the append
+// store, and only then is the view swapped in for readers — a crash or
+// commit failure at any point leaves both the directory and the session
+// on the previous generation. Appends serialize among themselves but
+// only block readers for the pointer swap.
 func (s *System) IngestAppendCtx(ctx context.Context, batch ingest.Batch, lim exec.Limits) (*ingest.Report, exec.Trace, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
@@ -75,7 +75,7 @@ func (s *System) IngestAppendCtx(ctx context.Context, batch ingest.Batch, lim ex
 
 // ingestAppend is the metered implementation. Budget exhaustion is an
 // error, never a partially applied batch: the view swap happens only
-// after both the in-memory apply and the durable commit succeed.
+// after both the in-memory build and the durable commit succeed.
 func (s *System) ingestAppend(c *exec.Ctl, batch ingest.Batch) (_ *ingest.Report, err error) {
 	var partial bool
 	sp := c.StartSpan("system.IngestAppend")
@@ -128,14 +128,15 @@ func (s *System) ingestAppend(c *exec.Ctl, batch ingest.Batch) (_ *ingest.Report
 		return rep, nil
 	}
 
-	// Apply in memory first — it is pure and cheap to discard, while a
+	// Build in memory first — it is pure and cheap to discard, while a
 	// committed generation would be visible to a crash-recovery open.
 	applyStart := time.Now()
+	raw := &sage.Corpus{Libraries: slices.Concat(oldView.Raw.Libraries, valid)}
 	var newView *ingest.View
-	//lint:gea locksafe -- ingestMu is the append serialization lock, not a registry lock: readers never take it (they snapshot under s.mu, which is NOT held here), so the guarded apply blocks only other appends
+	//lint:gea locksafe -- ingestMu is the append serialization lock, not a registry lock: readers never take it (they snapshot under s.mu, which is NOT held here), so the guarded build blocks only other appends
 	err = exec.Guard("system.IngestAppend", "apply", func() error {
 		var err error
-		newView, _, err = oldView.ApplyWith(c, valid)
+		newView, err = ingest.Build(c, raw, s.cleanOpts)
 		return err
 	})
 	if err != nil {

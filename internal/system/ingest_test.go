@@ -3,6 +3,7 @@ package system
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -143,6 +144,33 @@ func TestIngestGenerationToken(t *testing.T) {
 	}
 }
 
+// TestIngestMatchesFrozenLoad: an ingest session grown batch by batch
+// from an empty store serves exactly the dataset and cleaning report a
+// frozen session builds over the concatenated corpus — the append path
+// and the frozen path clean the same way, in the same library order,
+// with the same IDs and keep set.
+func TestIngestMatchesFrozenLoad(t *testing.T) {
+	sys, _, _, _ := newIngestSystem(t)
+	batches := emitBatches(t, 3)
+	var all []*sage.Library
+	for _, libs := range batches {
+		if _, err := sys.IngestAppend(ingest.BatchFromLibraries(libs)); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, libs...)
+	}
+	frozen, err := New(&sage.Corpus{Libraries: all}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sys.Data, frozen.Data) {
+		t.Error("ingest session's dataset differs from the frozen load of the same corpus")
+	}
+	if !reflect.DeepEqual(sys.CleanReport, frozen.CleanReport) {
+		t.Error("ingest session's cleaning report differs from the frozen load of the same corpus")
+	}
+}
+
 // TestIngestRejectedBatchLeavesGenerationAlone: a batch with no valid
 // library is quarantined without committing a generation or touching the
 // session's corpus.
@@ -250,10 +278,9 @@ func TestIngestConcurrentReaders(t *testing.T) {
 				}
 				lastGen = gen
 				// Read the snapshot's derived state; a torn swap or a
-				// mutating apply would trip the race detector here.
-				n := view.Data.NumLibraries()
-				if rows := len(view.Sumy.Rows); n > 0 && rows == 0 {
-					t.Errorf("generation %d: %d libraries but empty SUMY", gen, n)
+				// mutating build would trip the race detector here.
+				if n, reps := view.Data.NumLibraries(), len(view.Report.Libraries); reps != n {
+					t.Errorf("generation %d: %d libraries but %d report rows", gen, n, reps)
 					return
 				}
 			}

@@ -76,13 +76,13 @@ type Options struct {
 	// degrading the fleet. Nil disables tenant shaping.
 	TenantPolicy *admission.TenantPolicy
 	// Ingest enables the streaming append path: the session is built on
-	// an incrementally maintained ingest.View instead of the one-shot
-	// clean.Clean + sage.Build pipeline, and IngestAppendCtx accepts
-	// batches of new libraries at runtime, committing them through the
-	// configured append store and swapping the maintained view in one
-	// generation step. Nil (the default) keeps the classic frozen-corpus
-	// behavior. When set, SkipCleaning is ignored (the view owns
-	// cleaning) and Clean is read from Ingest.View.Clean.
+	// an ingest.View, and IngestAppendCtx accepts batches of new
+	// libraries at runtime, rebuilding the view from the grown raw
+	// corpus, committing the batch through the configured append store
+	// and swapping the new view in one generation step. Nil (the
+	// default) keeps the classic frozen-corpus behavior. Both paths
+	// clean with Clean. When set, SkipCleaning is ignored: every
+	// generation is cleaned.
 	Ingest *IngestOptions
 	// Workers is the default intra-operation worker count for sharded
 	// evaluation; <= 0 means 1 (sequential). It composes with
@@ -131,8 +131,8 @@ type System struct {
 	// *StaleError after an append moves the corpus on.
 	bornGen map[string]uint64
 
-	// view is the maintained ingest view when Options.Ingest was set;
-	// generation counts committed corpus generations (starting at 1).
+	// view is the ingest view when Options.Ingest was set; generation
+	// counts committed corpus generations (starting at 1).
 	// Readers snapshot both under mu and then work lock-free on the
 	// immutable view: an in-flight operator keeps its generation even
 	// while an append commits the next one.
@@ -142,6 +142,9 @@ type System struct {
 	// ingest.* series. Both nil unless ingestion is enabled.
 	ingestStore   *ingest.Store
 	ingestMetrics *obs.Registry
+	// cleanOpts is Options.Clean with its zero value resolved to the
+	// thesis defaults; every append cleans with it.
+	cleanOpts clean.Options
 	// ingestMu serializes appends end to end (screen, apply, commit)
 	// without blocking readers, who only need mu for the swap window.
 	ingestMu sync.Mutex
@@ -171,6 +174,10 @@ func New(corpus *sage.Corpus, opts Options) (*System, error) {
 	if opts.User == "" {
 		opts.User = "gea"
 	}
+	cleanOpts := opts.Clean
+	if cleanOpts.MinTolerance == 0 && cleanOpts.ScaleTo == 0 {
+		cleanOpts = clean.DefaultOptions()
+	}
 	var (
 		cleaned *sage.Corpus
 		report  *clean.Report
@@ -179,7 +186,7 @@ func New(corpus *sage.Corpus, opts Options) (*System, error) {
 	)
 	switch {
 	case opts.Ingest != nil:
-		view, err = ingest.Rebuild(corpus, opts.Ingest.View)
+		view, err = ingest.Build(exec.Background(), corpus, cleanOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -187,10 +194,6 @@ func New(corpus *sage.Corpus, opts Options) (*System, error) {
 	case opts.SkipCleaning:
 		cleaned = corpus
 	default:
-		cleanOpts := opts.Clean
-		if cleanOpts.MinTolerance == 0 && cleanOpts.ScaleTo == 0 {
-			cleanOpts = clean.DefaultOptions()
-		}
 		cleaned, report, err = clean.Clean(corpus, cleanOpts)
 		if err != nil {
 			return nil, err
@@ -230,6 +233,7 @@ func New(corpus *sage.Corpus, opts Options) (*System, error) {
 		sys.generation = 1
 		sys.ingestStore = opts.Ingest.Store
 		sys.ingestMetrics = opts.Ingest.Metrics
+		sys.cleanOpts = cleanOpts
 		if sys.ingestMetrics != nil {
 			sys.ingestMetrics.Gauge("ingest.generation").Set(1)
 		}
