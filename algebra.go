@@ -87,7 +87,11 @@ const (
 // NullGap is the NULL gap level (the overlap case of Figure 3.4).
 var NullGap = core.NullGap
 
-// Operators.
+// Operators. The metered ones (Aggregate, Populate, Mine, Diff, the SUMY
+// operators and RangeSearch) take the *Ctl that meters them first and
+// report, beside the result, whether a budget stop truncated it: pass
+// Background() for an unbounded run, or call them inside Run to bound
+// one by a context and ExecLimits.
 var (
 	// FullEnum wraps a whole dataset as a degenerate cluster.
 	FullEnum = core.FullEnum
@@ -98,25 +102,24 @@ var (
 	// NewGap builds a Gap from rows.
 	NewGap = core.NewGap
 	// Aggregate converts a cluster to its intensional form.
-	Aggregate = core.Aggregate
-	// Populate converts a cluster definition to its enumeration;
-	// PopulateWithOptions adds evaluation options (e.g. simulated row
-	// fetch for the Table 3.2 experiment).
-	Populate            = core.Populate
-	PopulateWithOptions = core.PopulateWithOptions
+	Aggregate = core.AggregateWith
+	// Populate converts a cluster definition to its enumeration; its
+	// options include the simulated row fetch of the Table 3.2
+	// experiment.
+	Populate = core.PopulateWith
 	// BuildTagIndexes creates sorted per-tag indexes for Populate.
 	BuildTagIndexes = core.BuildTagIndexes
 	// Mine runs fascicle production and builds both forms of each cluster.
-	Mine = core.Mine
+	Mine = core.MineWith
 	// Diff produces a Gap from two Sumy tables.
-	Diff = core.Diff
+	Diff = core.DiffWith
 	// SelectSumy / ProjectSumy / MinusSumy / IntersectSumy / UnionSumy are
 	// the intensional-world operators on SUMY tables.
-	SelectSumy    = core.SelectSumy
-	ProjectSumy   = core.ProjectSumy
-	MinusSumy     = core.MinusSumy
-	IntersectSumy = core.IntersectSumy
-	UnionSumy     = core.UnionSumy
+	SelectSumy    = core.SelectSumyWith
+	ProjectSumy   = core.ProjectSumyWith
+	MinusSumy     = core.MinusSumyWith
+	IntersectSumy = core.IntersectSumyWith
+	UnionSumy     = core.UnionSumyWith
 	// SelectGap / ProjectGap / MinusGap / IntersectGap / UnionGap are the
 	// operators on GAP tables.
 	SelectGap    = core.SelectGap
@@ -139,7 +142,7 @@ var (
 	RangeRelation   = core.RangeRelation
 	RangeAnyOverlap = core.RangeAnyOverlap
 	// Searches (Section 4.4.4).
-	RangeSearch     = core.RangeSearch
+	RangeSearch     = core.RangeSearchWith
 	AnyTagSearch    = core.AnyTagSearch
 	StrictRelation  = core.StrictRelation
 	BroadOverlap    = core.BroadOverlap
@@ -176,8 +179,8 @@ const (
 )
 
 var (
-	// NewInterval returns [min, max] (panics if inverted; use MakeInterval
-	// for untrusted input).
+	// NewInterval returns [min, max] (panics if inverted or NaN; use
+	// MakeInterval for untrusted input).
 	NewInterval = interval.New
 	// MakeInterval returns [min, max] or an error.
 	MakeInterval = interval.Make

@@ -106,7 +106,7 @@ func BenchmarkTable22FascicleExample(b *testing.B) {
 	tol := map[TagID]float64{tags[0]: 120, tags[1]: 3, tags[2]: 48, tags[3]: 60, tags[4]: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineFasciclesLattice(d, FascicleParams{K: 5, Tolerance: tol, MinSize: 3}); err != nil {
+		if _, _, err := MineFasciclesLattice(Background(), d, FascicleParams{K: 5, Tolerance: tol, MinSize: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func benchPopulate(b *testing.B, w int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sumy, err := Aggregate("benchClusterSumy", enum, AggregateOptions{})
+	sumy, _, err := Aggregate(Background(), "benchClusterSumy", enum, AggregateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func benchPopulate(b *testing.B, w int) {
 	opts := PopulateOptions{SimulateRowFetch: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := PopulateWithOptions("benchPop", sumy, d, idx, opts); err != nil {
+		if _, _, _, err := Populate(Background(), "benchPop", sumy, d, idx, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func BenchmarkCase1DiffAndTop(b *testing.B) {
 	s3 := mustSumy(b, f, f.groups.Opposite)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := Diff("case1Gap", s1, s3)
+		g, _, err := Diff(Background(), "case1Gap", s1, s3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func BenchmarkCase2InsideVsOutside(b *testing.B) {
 	s2 := mustSumy(b, f, f.groups.SameNotInFascicle)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Diff("case2Gap", s1, s2); err != nil {
+		if _, _, err := Diff(Background(), "case2Gap", s1, s2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,11 +253,11 @@ func BenchmarkCase3CompareQueries(b *testing.B) {
 	s1 := mustSumy(b, f, f.groups.InFascicle)
 	s2 := mustSumy(b, f, f.groups.SameNotInFascicle)
 	s3 := mustSumy(b, f, f.groups.Opposite)
-	g1, err := Diff("b3g1", s1, s3)
+	g1, _, err := Diff(Background(), "b3g1", s1, s3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g2, err := Diff("b3g2", s1, s2)
+	g2, _, err := Diff(Background(), "b3g2", s1, s2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -279,11 +279,11 @@ func BenchmarkCase4SetMinus(b *testing.B) {
 	s1 := mustSumy(b, f, f.groups.InFascicle)
 	s2 := mustSumy(b, f, f.groups.SameNotInFascicle)
 	s3 := mustSumy(b, f, f.groups.Opposite)
-	g1, err := Diff("b4g1", s1, s3)
+	g1, _, err := Diff(Background(), "b4g1", s1, s3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g2, err := Diff("b4g2", s1, s2)
+	g2, _, err := Diff(Background(), "b4g2", s1, s2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func BenchmarkCase5Verification(b *testing.B) {
 		}
 		full := FullEnum("b5", sub)
 		cancer := full.SelectRows("b5c", func(m LibraryMeta) bool { return m.State == Cancer })
-		if _, err := Aggregate("b5s", cancer, AggregateOptions{}); err != nil {
+		if _, _, err := Aggregate(Background(), "b5s", cancer, AggregateOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func BenchmarkFascicleLattice(b *testing.B) {
 	p := FascicleParams{K: f.brain.NumTags() * 55 / 100, Tolerance: tol, MinSize: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineFasciclesLattice(f.brain, p); err != nil {
+		if _, _, err := MineFasciclesLattice(Background(), f.brain, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -352,7 +352,7 @@ func BenchmarkFascicleGreedy(b *testing.B) {
 	p := FascicleParams{K: f.brain.NumTags() * 55 / 100, Tolerance: tol, MinSize: 3, BatchSize: 6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineFasciclesGreedy(f.brain, p); err != nil {
+		if _, _, err := MineFasciclesGreedy(Background(), f.brain, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,7 +378,7 @@ func benchIndexChoice(b *testing.B, entropy bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sumy, err := Aggregate("bicSumy", enum, AggregateOptions{})
+	sumy, _, err := Aggregate(Background(), "bicSumy", enum, AggregateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func benchIndexChoice(b *testing.B, entropy bool) {
 	opts := PopulateOptions{SimulateRowFetch: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := PopulateWithOptions("bicPop", sumy, d, idx, opts); err != nil {
+		if _, _, _, err := Populate(Background(), "bicPop", sumy, d, idx, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -455,7 +455,7 @@ func BenchmarkBaselineHierarchical(b *testing.B) {
 	rows := baselineRows(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dg, err := Hierarchical(rows, CorrelationDistance, AverageLinkage)
+		dg, _, err := Hierarchical(Background(), rows, CorrelationDistance, AverageLinkage)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -470,7 +470,7 @@ func BenchmarkBaselineKMeans(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(rows, 2, rng, 0); err != nil {
+		if _, _, err := KMeans(Background(), rows, 2, rng, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -481,7 +481,7 @@ func BenchmarkBaselineSOM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SOM(rows, SOMConfig{GridW: 2, GridH: 1, Epochs: 30}, rng); err != nil {
+		if _, _, err := SOM(Background(), rows, SOMConfig{GridW: 2, GridH: 1, Epochs: 30}, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -491,7 +491,7 @@ func BenchmarkBaselineOPTICS(b *testing.B) {
 	rows := baselineRows(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OPTICS(rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 3}); err != nil {
+		if _, _, err := OPTICS(Background(), rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -505,7 +505,7 @@ func BenchmarkAggregateFullDataset(b *testing.B) {
 	full := FullEnum("bAgg", f.sys.Data)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Aggregate("bAggS", full, AggregateOptions{}); err != nil {
+		if _, _, err := Aggregate(Background(), "bAggS", full, AggregateOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -517,7 +517,7 @@ func BenchmarkAggregateWithMedian(b *testing.B) {
 	full := FullEnum("bAggM", f.sys.Data)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Aggregate("bAggMS", full, AggregateOptions{WithMedian: true}); err != nil {
+		if _, _, err := Aggregate(Background(), "bAggMS", full, AggregateOptions{WithMedian: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -529,17 +529,17 @@ func BenchmarkDiffFullWidth(b *testing.B) {
 	full := FullEnum("bDiff", f.sys.Data)
 	cancer := full.SelectRows("bDiffC", func(m LibraryMeta) bool { return m.State == Cancer })
 	normal := full.SelectRows("bDiffN", func(m LibraryMeta) bool { return m.State == Normal })
-	sc, err := Aggregate("bDiffCS", cancer, AggregateOptions{})
+	sc, _, err := Aggregate(Background(), "bDiffCS", cancer, AggregateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sn, err := Aggregate("bDiffNS", normal, AggregateOptions{})
+	sn, _, err := Aggregate(Background(), "bDiffNS", normal, AggregateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Diff("bDiffG", sc, sn); err != nil {
+		if _, _, err := Diff(Background(), "bDiffG", sc, sn); err != nil {
 			b.Fatal(err)
 		}
 	}

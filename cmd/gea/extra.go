@@ -31,7 +31,7 @@ func cmdXProfiler(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := gea.XCompare(cancer, normal, gea.XOptions{Alpha: *alpha})
+	res, _, err := gea.XCompare(gea.Background(), cancer, normal, gea.XOptions{Alpha: *alpha})
 	if err != nil {
 		return err
 	}

@@ -280,7 +280,7 @@ func (r *repl) dispatch(fields []string) error {
 		}
 		ctx, stop := r.opCtx()
 		defer stop()
-		pure, tr, err := sys.FindPureFascicleCtx(ctx, tissue, gea.PropCancer, 3, r.limits)
+		pure, tr, err := sys.FindPureFascicleCtx(ctx, tissue, gea.PropCancer, 3, gea.LatticeAlgorithm, r.limits)
 		if err != nil {
 			if gea.IsCancellation(err) {
 				fmt.Fprintf(r.out, "mine %s cancelled after %d work units; session kept\n", tissue, tr.Units)

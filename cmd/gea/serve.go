@@ -196,7 +196,7 @@ func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 	// itself before the fleet degrades everyone.
 	tenant := tenantOf(r)
 	lim, state, throttled := gw.sys.ShapeLimitsFor(tenant, gw.opts.limits)
-	pure, tr, err := gw.sys.FindPureFascicleCtx(ctx, tissue, gea.PropCancer, 3, lim)
+	pure, tr, err := gw.sys.FindPureFascicleCtx(ctx, tissue, gea.PropCancer, 3, gea.LatticeAlgorithm, lim)
 	gw.sys.ChargeTenant(tenant, tr.Units)
 	resp := mineResponse{
 		Tissue: tissue, Fascicle: pure, Units: tr.Units, Partial: tr.Partial,

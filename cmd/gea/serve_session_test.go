@@ -131,6 +131,9 @@ func TestServeSessionConformance(t *testing.T) {
 		`{"op":"mine","params":{"tissue":"brain","k":"100000"}}`,
 		`{"op":"rangesearch","params":{"a":"brain","firsttag":"-5"}}`,
 		`{"op":"rangesearch","params":{"a":"brain","firsttag":"100","lasttag":"5"}}`,
+		`{"op":"rangesearch","params":{"a":"brain","lo":"NaN","hi":"5"}}`,
+		`{"op":"rangesearch","params":{"a":"brain","lo":"0","hi":"NaN"}}`,
+		`{"op":"select","params":{"tissue":"brain","minmean":"NaN"}}`,
 	} {
 		if rr := do(t, mux, http.MethodPost, "/session/alpha/run", body); rr.Code != http.StatusBadRequest {
 			t.Errorf("run %s = %d, want 400", body, rr.Code)

@@ -52,7 +52,7 @@ func expTable22(*env) error {
 	tol := map[gea.TagID]float64{
 		tagIDs[0]: 120, tagIDs[1]: 3, tagIDs[2]: 48, tagIDs[3]: 60, tagIDs[4]: 20,
 	}
-	fs, err := gea.MineFasciclesLattice(d, gea.FascicleParams{K: 5, Tolerance: tol, MinSize: 3})
+	fs, _, err := gea.MineFasciclesLattice(gea.Background(), d, gea.FascicleParams{K: 5, Tolerance: tol, MinSize: 3})
 	if err != nil {
 		return err
 	}
@@ -115,7 +115,7 @@ func expTable32(e *env) error {
 	if err != nil {
 		return err
 	}
-	sumy, err := gea.Aggregate("clusterSumy", enum, gea.AggregateOptions{})
+	sumy, _, err := gea.Aggregate(gea.Background(), "clusterSumy", enum, gea.AggregateOptions{})
 	if err != nil {
 		return err
 	}
@@ -160,7 +160,7 @@ func expTable32(e *env) error {
 		if w == 0 {
 			baseline = t
 		}
-		_, st, err := gea.Populate("probe", sumy, d, idx)
+		_, st, _, err := gea.Populate(gea.Background(), "probe", sumy, d, idx, gea.PopulateOptions{})
 		if err != nil {
 			return err
 		}
@@ -179,7 +179,7 @@ func timePopulate(s *gea.Sumy, d *gea.Dataset, idx *gea.TagIndexes, reps int) ti
 	opts := gea.PopulateOptions{SimulateRowFetch: true}
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, _, err := gea.PopulateWithOptions("bench", s, d, idx, opts); err != nil {
+		if _, _, _, err := gea.Populate(gea.Background(), "bench", s, d, idx, opts); err != nil {
 			panic(err)
 		}
 	}
@@ -283,7 +283,7 @@ func brainPipeline(e *env) (*gea.System, *gea.Dataset, map[string]bool, gea.Case
 			alg = gea.GreedyAlgorithm
 		}
 		ctx, cancel := e.opCtx()
-		pure, tr, err := sys.FindPureFascicleWithCtx(ctx, dsName, gea.PropCancer, 3, alg, gea.ExecLimits{})
+		pure, tr, err := sys.FindPureFascicleCtx(ctx, dsName, gea.PropCancer, 3, alg, gea.ExecLimits{})
 		cancel()
 		if err != nil {
 			return nil, nil, nil, groups, err
@@ -405,7 +405,7 @@ func tissueGap(e *env, tissue string) (string, error) {
 		alg = gea.GreedyAlgorithm
 	}
 	ctx, cancel := e.opCtx()
-	pure, tr, err := sys.FindPureFascicleWithCtx(ctx, tissue, gea.PropCancer, 3, alg, gea.ExecLimits{})
+	pure, tr, err := sys.FindPureFascicleCtx(ctx, tissue, gea.PropCancer, 3, alg, gea.ExecLimits{})
 	cancel()
 	if err != nil {
 		return "", err
@@ -569,15 +569,15 @@ func expCase5(e *env) error {
 	full := gea.FullEnum("case5Enum", nb)
 	cancer := full.SelectRows("case5Cancer", func(m gea.LibraryMeta) bool { return m.State == gea.Cancer })
 	normal := full.SelectRows("case5Normal", func(m gea.LibraryMeta) bool { return m.State == gea.Normal })
-	sc, err := gea.Aggregate("case5CancerSumy", cancer, gea.AggregateOptions{})
+	sc, _, err := gea.Aggregate(gea.Background(), "case5CancerSumy", cancer, gea.AggregateOptions{})
 	if err != nil {
 		return err
 	}
-	sn, err := gea.Aggregate("case5NormalSumy", normal, gea.AggregateOptions{})
+	sn, _, err := gea.Aggregate(gea.Background(), "case5NormalSumy", normal, gea.AggregateOptions{})
 	if err != nil {
 		return err
 	}
-	redo, err := gea.Diff("case5Gap", sc, sn)
+	redo, _, err := gea.Diff(gea.Background(), "case5Gap", sc, sn)
 	if err != nil {
 		return err
 	}
@@ -661,7 +661,7 @@ func expBaselines(e *env) error {
 	}
 
 	start := time.Now()
-	dg, err := gea.Hierarchical(rows, gea.CorrelationDistance, gea.AverageLinkage)
+	dg, _, err := gea.Hierarchical(gea.Background(), rows, gea.CorrelationDistance, gea.AverageLinkage)
 	if err != nil {
 		return err
 	}
@@ -674,7 +674,7 @@ func expBaselines(e *env) error {
 
 	rng := rand.New(rand.NewSource(e.seed))
 	start = time.Now()
-	km, err := gea.KMeans(rows, 2, rng, 0)
+	km, _, err := gea.KMeans(gea.Background(), rows, 2, rng, 0)
 	if err != nil {
 		return err
 	}
@@ -682,7 +682,7 @@ func expBaselines(e *env) error {
 		"k-means", agree(binary(km.Labels)), time.Since(start).Round(time.Microsecond))
 
 	start = time.Now()
-	som, err := gea.SOM(rows, gea.SOMConfig{GridW: 2, GridH: 1, Epochs: 60}, rng)
+	som, _, err := gea.SOM(gea.Background(), rows, gea.SOMConfig{GridW: 2, GridH: 1, Epochs: 60}, rng)
 	if err != nil {
 		return err
 	}
@@ -690,7 +690,7 @@ func expBaselines(e *env) error {
 		"SOM (Golub)", agree(binary(som.Labels)), time.Since(start).Round(time.Microsecond))
 
 	start = time.Now()
-	order, err := gea.OPTICS(rows, gea.OPTICSConfig{Eps: math.Inf(1), MinPts: 3})
+	order, _, err := gea.OPTICS(gea.Background(), rows, gea.OPTICSConfig{Eps: math.Inf(1), MinPts: 3})
 	if err != nil {
 		return err
 	}
@@ -699,7 +699,7 @@ func expBaselines(e *env) error {
 		"OPTICS (Ng et al.)", agree(binary(ol)), time.Since(start).Round(time.Microsecond))
 
 	start = time.Now()
-	castLabels, err := gea.CAST(rows, gea.CASTConfig{T: 0.75})
+	castLabels, _, err := gea.CAST(gea.Background(), rows, gea.CASTConfig{T: 0.75})
 	if err != nil {
 		return err
 	}
@@ -842,18 +842,18 @@ func expScaling(e *env) error {
 			return err
 		}
 		start := time.Now()
-		s, err := gea.Aggregate("scaleSumy", enum, gea.AggregateOptions{})
+		s, _, err := gea.Aggregate(gea.Background(), "scaleSumy", enum, gea.AggregateOptions{})
 		if err != nil {
 			return err
 		}
 		tAgg := time.Since(start)
 		start = time.Now()
-		if _, err := gea.Diff("scaleGap", s, s); err != nil {
+		if _, _, err := gea.Diff(gea.Background(), "scaleGap", s, s); err != nil {
 			return err
 		}
 		tDiff := time.Since(start)
 		start = time.Now()
-		if _, _, err := gea.Populate("scalePop", s, d, nil); err != nil {
+		if _, _, _, err := gea.Populate(gea.Background(), "scalePop", s, d, nil, gea.PopulateOptions{}); err != nil {
 			return err
 		}
 		tPop := time.Since(start)
@@ -885,7 +885,7 @@ func expScaling(e *env) error {
 			return err
 		}
 		start := time.Now()
-		if _, err := gea.MineFasciclesGreedy(sub, gea.FascicleParams{
+		if _, _, err := gea.MineFasciclesGreedy(gea.Background(), sub, gea.FascicleParams{
 			K: sub.NumTags() * e.kpct / 100, Tolerance: tol, MinSize: 2,
 		}); err != nil {
 			return err
@@ -940,7 +940,7 @@ func expXProfiler(e *env) error {
 	if err != nil {
 		return err
 	}
-	xres, err := gea.XCompare(cancer, normal, gea.XOptions{Alpha: 1e-4})
+	xres, _, err := gea.XCompare(gea.Background(), cancer, normal, gea.XOptions{Alpha: 1e-4})
 	if err != nil {
 		return err
 	}
@@ -1004,7 +1004,7 @@ func expSeeds(e *env) error {
 			return err
 		}
 		ctx, cancel := e.opCtx()
-		pure, tr, err := sys.FindPureFascicleCtx(ctx, "brain", gea.PropCancer, 3, gea.ExecLimits{})
+		pure, tr, err := sys.FindPureFascicleCtx(ctx, "brain", gea.PropCancer, 3, gea.LatticeAlgorithm, gea.ExecLimits{})
 		cancel()
 		if err != nil {
 			fmt.Printf("%4d | (none found: %v)\n", seed, err)

@@ -156,7 +156,7 @@ func expPerf(e *env) error {
 	if err != nil {
 		return err
 	}
-	sumy, err := gea.Aggregate("perfSumy", enum, gea.AggregateOptions{})
+	sumy, _, err := gea.Aggregate(gea.Background(), "perfSumy", enum, gea.AggregateOptions{})
 	if err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func expPerf(e *env) error {
 	if err != nil {
 		return err
 	}
-	halfSumy, err := gea.Aggregate("perfHalfSumy", halfEnum, gea.AggregateOptions{})
+	halfSumy, _, err := gea.Aggregate(gea.Background(), "perfHalfSumy", halfEnum, gea.AggregateOptions{})
 	if err != nil {
 		return err
 	}
@@ -178,7 +178,7 @@ func expPerf(e *env) error {
 	if err != nil {
 		return err
 	}
-	selSumy, err := gea.Aggregate("perfSelSumy", selEnum, gea.AggregateOptions{})
+	selSumy, _, err := gea.Aggregate(gea.Background(), "perfSelSumy", selEnum, gea.AggregateOptions{})
 	if err != nil {
 		return err
 	}
@@ -206,23 +206,26 @@ func expPerf(e *env) error {
 	}
 	ops := []opSpec{
 		{"populate", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
-			en, _, tr, err := gea.PopulateCtx(ctx, "perfPop", sumy, d, nil,
-				gea.PopulateOptions{SimulateRowFetch: true}, gea.ExecLimits{Workers: w})
-			return en, tr, err
+			return gea.Run(ctx, gea.ExecLimits{Workers: w}, "core.Populate", "perfPop", func(c *gea.Ctl) (interface{}, bool, error) {
+				en, _, partial, err := gea.Populate(c, "perfPop", sumy, d, nil, gea.PopulateOptions{SimulateRowFetch: true})
+				return en, partial, err
+			})
 		}},
 		{"populate-sel", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
-			en, _, tr, err := gea.PopulateCtx(ctx, "perfSelPop", selSumy, d, nil,
-				gea.PopulateOptions{}, gea.ExecLimits{Workers: w})
-			return en, tr, err
+			return gea.Run(ctx, gea.ExecLimits{Workers: w}, "core.Populate", "perfSelPop", func(c *gea.Ctl) (interface{}, bool, error) {
+				en, _, partial, err := gea.Populate(c, "perfSelPop", selSumy, d, nil, gea.PopulateOptions{})
+				return en, partial, err
+			})
 		}},
 		{"diff", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
-			g, tr, err := gea.DiffCtx(ctx, "perfGap", sumy, halfSumy, gea.ExecLimits{Workers: w})
-			return g, tr, err
+			return gea.Run(ctx, gea.ExecLimits{Workers: w}, "core.Diff", "perfGap", func(c *gea.Ctl) (interface{}, bool, error) {
+				return gea.Diff(c, "perfGap", sumy, halfSumy)
+			})
 		}},
 		{"aggregate", func(ctx context.Context, w int) (interface{}, gea.ExecTrace, error) {
-			s, tr, err := gea.AggregateCtx(ctx, "perfAgg", enum,
-				gea.AggregateOptions{}, gea.ExecLimits{Workers: w})
-			return s, tr, err
+			return gea.Run(ctx, gea.ExecLimits{Workers: w}, "core.Aggregate", "perfAgg", func(c *gea.Ctl) (interface{}, bool, error) {
+				return gea.Aggregate(c, "perfAgg", enum, gea.AggregateOptions{})
+			})
 		}},
 	}
 

@@ -23,7 +23,7 @@ func ExampleDiff() {
 		{Tag: tag(4), Range: gea.NewInterval(0, 12), Mean: 3, Std: 1},
 		{Tag: tag(5), Range: gea.NewInterval(0, 50), Mean: 20, Std: 15},
 	}, nil)
-	g, err := gea.Diff("GAP", s1, s2)
+	g, _, err := gea.Diff(gea.Background(), "GAP", s1, s2)
 	if err != nil {
 		panic(err)
 	}

@@ -38,7 +38,7 @@ func main() {
 		}
 		libLabels[i] = fmt.Sprintf("%s_%02d", tag, m.ID)
 	}
-	dg, err := gea.Hierarchical(brain.Expr, gea.CorrelationDistance, gea.AverageLinkage)
+	dg, _, err := gea.Hierarchical(gea.Background(), brain.Expr, gea.CorrelationDistance, gea.AverageLinkage)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 			geneLabels[i] = g.Name
 		}
 	}
-	gdg, err := gea.Hierarchical(geneRows, gea.CorrelationDistance, gea.AverageLinkage)
+	gdg, _, err := gea.Hierarchical(gea.Background(), geneRows, gea.CorrelationDistance, gea.AverageLinkage)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func main() {
 	fmt.Print(hm)
 
 	// ---- OPTICS reachability (Ng, Sander, Sleumer on SAGE). ----
-	order, err := gea.OPTICS(brain.Expr, gea.OPTICSConfig{Eps: math.Inf(1), MinPts: 3})
+	order, _, err := gea.OPTICS(gea.Background(), brain.Expr, gea.OPTICSConfig{Eps: math.Inf(1), MinPts: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func main() {
 		newBrain.NumLibraries(), brain.NumLibraries())
 	full := gea.FullEnum("newBrainEnum", newBrain)
 	cancer := full.SelectRows("newBrainCancer", func(m gea.LibraryMeta) bool { return m.State == gea.Cancer })
-	redo, err := gea.Aggregate("newBrainCancerSumy", cancer, gea.AggregateOptions{WithMedian: true})
+	redo, _, err := gea.Aggregate(gea.Background(), "newBrainCancerSumy", cancer, gea.AggregateOptions{WithMedian: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func main() {
 	}
 	first := gea.MustParseTag("AAAAAAAAAA")
 	last := gea.MustParseTag("CAAAAAAAAA")
-	rows, err := gea.RangeSearch([]*gea.Sumy{s1, s3}, first, last,
+	rows, _, err := gea.RangeSearch(gea.Background(), []*gea.Sumy{s1, s3}, first, last,
 		gea.BroadOverlap(gea.NewInterval(10, 700)))
 	if err != nil {
 		log.Fatal(err)

@@ -1,22 +1,26 @@
 package gea
 
 import (
+	"context"
+
 	"gea/internal/admission"
 	"gea/internal/cluster"
-	"gea/internal/core"
 	"gea/internal/exec"
 	"gea/internal/fascicle"
 	"gea/internal/system"
-	"gea/internal/xprofiler"
 )
 
-// Execution governance (internal/exec). Every long-running operator has a
-// *Ctx variant taking a context.Context and ExecLimits: the computation
-// polls cancellation and deadlines at checkpoints, a work budget degrades
-// to an explicitly flagged partial result (ExecTrace.Partial), and panics
-// are recovered into structured *ExecError values instead of crashing the
+// Execution governance (internal/exec). Every long-running operator takes
+// the *Ctl that meters it: Background() runs it unbounded, and Run bounds
+// it by a context.Context and ExecLimits. The computation polls
+// cancellation and deadlines at checkpoints, a work budget degrades to an
+// explicitly flagged partial result (ExecTrace.Partial), and panics are
+// recovered into structured *ExecError values instead of crashing the
 // session.
 type (
+	// Ctl meters one operator run: its checkpoints, work budget,
+	// cancellation and worker count.
+	Ctl = exec.Ctl
 	// ExecLimits bound a single operator call: Budget caps total work
 	// units (0 = unlimited), CheckEvery sets the checkpoint cadence, and
 	// Workers sets the intra-operator worker count for sharded scans
@@ -65,34 +69,21 @@ var (
 	// WithExecHook returns a context whose governed operators call the
 	// hook at every checkpoint.
 	WithExecHook = exec.WithHook
+	// Background returns an unbounded Ctl for a one-off operator call.
+	Background = exec.Background
 	// ErrShuttingDown is returned by governed System operations — and
 	// handed to kicked admission waiters — once System.Shutdown begins.
 	ErrShuttingDown = admission.ErrShutdown
 )
 
-// Governed operator variants. Each takes a context and ExecLimits and
-// returns the result plus an ExecTrace.
-var (
-	// MineCtx / PopulateCtx / AggregateCtx / DiffCtx / RangeSearchCtx are
-	// the governed forms of the core algebra.
-	MineCtx        = core.MineCtx
-	PopulateCtx    = core.PopulateCtx
-	AggregateCtx   = core.AggregateCtx
-	DiffCtx        = core.DiffCtx
-	RangeSearchCtx = core.RangeSearchCtx
-	// MineFasciclesLatticeCtx / MineFasciclesGreedyCtx are the governed
-	// miners.
-	MineFasciclesLatticeCtx = fascicle.LatticeCtx
-	MineFasciclesGreedyCtx  = fascicle.GreedyCtx
-	// Governed clustering baselines.
-	HierarchicalCtx = cluster.HierarchicalCtx
-	KMeansCtx       = cluster.KMeansCtx
-	SOMCtx          = cluster.SOMCtx
-	OPTICSCtx       = cluster.OPTICSCtx
-	CASTCtx         = cluster.CASTCtx
-	// XCompareCtx is the governed pooled differential test.
-	XCompareCtx = xprofiler.CompareCtx
-)
+// Run invokes one operator under execution governance: it meters fn
+// with a Ctl built from ctx and lim, recovers a panic into an *ExecError
+// naming op and node, and returns the value with its ExecTrace. On an
+// error the value is the zero R; on a budget stop it is fn's flagged
+// partial value with ExecTrace.Partial set. See exec.Run.
+func Run[R any](ctx context.Context, lim ExecLimits, op, node string, fn func(*Ctl) (R, bool, error)) (R, ExecTrace, error) {
+	return exec.Run(ctx, lim, op, node, fn)
+}
 
 // Admission-control defaults of a System session.
 const (

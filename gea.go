@@ -37,14 +37,16 @@
 // analysis of thesis Section 3.3.2, the embedded relational engine, the
 // lineage tracker, the auxiliary gene databases and the user store.
 //
-// Every long-running operator also has a governed *Ctx variant (MineCtx,
-// PopulateCtx, KMeansCtx, System.CalculateFasciclesCtx, ...) that accepts
-// a context.Context and an ExecLimits work budget: cancellation and
-// deadlines are observed at cooperative checkpoints, an exhausted budget
-// degrades to an explicitly flagged partial result (ExecTrace.Partial),
-// panics are recovered into structured *ExecError values, and System
-// sessions gate heavy operations through an admission semaphore (see
-// execution.go and DESIGN.md's execution model).
+// Every long-running operator has one form, which takes the *Ctl that
+// meters it: gea.Mine(gea.Background(), ...) runs unbounded, and wrapping
+// the call in gea.Run bounds it by a context.Context and an ExecLimits
+// work budget. Cancellation and deadlines are observed at cooperative
+// checkpoints, an exhausted budget degrades to an explicitly flagged
+// partial result (ExecTrace.Partial), and panics are recovered into
+// structured *ExecError values. System methods have governed *Ctx forms
+// (System.CalculateFasciclesCtx, ...) that also gate heavy operations
+// through an admission queue (see execution.go and DESIGN.md's execution
+// model).
 package gea
 
 import (

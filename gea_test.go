@@ -86,15 +86,15 @@ func TestPublicAlgebraPieces(t *testing.T) {
 	full := FullEnum("Ebrain", brain)
 	cancer := full.SelectRows("cancer", func(m LibraryMeta) bool { return m.State == Cancer })
 	normal := full.SelectRows("normal", func(m LibraryMeta) bool { return m.State == Normal })
-	sc, err := Aggregate("sc", cancer, AggregateOptions{})
+	sc, _, err := Aggregate(Background(), "sc", cancer, AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := Aggregate("sn", normal, AggregateOptions{})
+	sn, _, err := Aggregate(Background(), "sn", normal, AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Diff("g", sc, sn)
+	g, _, err := Diff(Background(), "g", sc, sn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPublicAlgebraPieces(t *testing.T) {
 	}
 	// Baselines are callable.
 	rows := [][]float64{{1, 2}, {1.1, 2.1}, {9, 9}, {9.2, 9.1}}
-	dg, err := Hierarchical(rows, EuclideanDistance, AverageLinkage)
+	dg, _, err := Hierarchical(Background(), rows, EuclideanDistance, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}

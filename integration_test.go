@@ -144,7 +144,7 @@ func TestIntegrationXProfilerComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xres, err := XCompare(cancer, normal, XOptions{Alpha: 1e-4})
+	xres, _, err := XCompare(Background(), cancer, normal, XOptions{Alpha: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

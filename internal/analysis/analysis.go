@@ -9,10 +9,10 @@
 // the real x/tools framework is a mechanical import change.
 //
 // The suite exists to machine-enforce the execution-governance contract
-// that PR 2 threaded through the operator algebra — checkpointed loops,
-// With/Ctx/legacy triads, lock discipline, sentinel-wrapped errors,
-// flagged partial results, and panic isolation. See ANALYSIS.md for the
-// catalogue of analyzers and the invariant each one guards.
+// threaded through the operator algebra — checkpointed loops, lock
+// discipline, sentinel-wrapped errors, flagged partial results, and panic
+// isolation. See ANALYSIS.md for the catalogue of analyzers and the
+// invariant each one guards.
 package analysis
 
 import (

@@ -33,15 +33,13 @@ import (
 	"gea/internal/analysis/shardpure"
 	"gea/internal/analysis/spanpair"
 	"gea/internal/analysis/statusmap"
-	"gea/internal/analysis/triad"
 )
 
-// Analyzers returns the full suite: the eleven invariant analyzers plus
+// Analyzers returns the full suite: the ten invariant analyzers plus
 // the //lint:gea directive validator.
 func Analyzers() []*analysis.Analyzer {
 	core := []*analysis.Analyzer{
 		ctlcharge.Analyzer,
-		triad.Analyzer,
 		locksafe.Analyzer,
 		errwrap.Analyzer,
 		partialflag.Analyzer,

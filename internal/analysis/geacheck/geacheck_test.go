@@ -44,7 +44,7 @@ func TestMainList(t *testing.T) {
 	if code := geacheck.Main(&stdout, &stderr, []string{"-list"}); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"ctlcharge", "triad", "locksafe", "errwrap", "partialflag", "nopanic", "suppress"} {
+	for _, name := range []string{"ctlcharge", "locksafe", "errwrap", "partialflag", "nopanic", "spanpair", "suppress"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())
 		}
@@ -138,8 +138,8 @@ func TestMainOnlySubset(t *testing.T) {
 
 	// A subset that excludes statusmap must come back clean...
 	var stdout, stderr bytes.Buffer
-	if code := geacheck.Main(&stdout, &stderr, []string{"-only", "triad,ctlcharge", "./..."}); code != 0 {
-		t.Fatalf("-only triad,ctlcharge exited %d, want 0; stderr: %s stdout: %s", code, stderr.String(), stdout.String())
+	if code := geacheck.Main(&stdout, &stderr, []string{"-only", "locksafe,ctlcharge", "./..."}); code != 0 {
+		t.Fatalf("-only locksafe,ctlcharge exited %d, want 0; stderr: %s stdout: %s", code, stderr.String(), stdout.String())
 	}
 
 	// ...and the subset that includes it must report the violation.
@@ -163,7 +163,7 @@ func Shed(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "shedding", http.StatusServiceUnavailable)
 }
 
-//lint:gea triad -- kept from an old revision of this file
+//lint:gea nopanic -- kept from an old revision of this file
 var Answer = 42
 
 //lint:gea locksafe
@@ -178,7 +178,7 @@ var Other = 43
 	if !strings.Contains(out, "suppresses statusmap -- load shedding") {
 		t.Errorf("live suppression not listed:\n%s", out)
 	}
-	if !strings.Contains(out, "STALE suppression of triad") {
+	if !strings.Contains(out, "STALE suppression of nopanic") {
 		t.Errorf("stale suppression not diagnosed:\n%s", out)
 	}
 	if !strings.Contains(out, "MALFORMED directive") {
@@ -192,7 +192,7 @@ var Other = 43
 func TestMainSuppressionAuditJSON(t *testing.T) {
 	writeModule(t, map[string]string{"lib.go": `package tmpmod
 
-//lint:gea triad -- nothing fires here any more
+//lint:gea errwrap -- nothing fires here any more
 var Answer = 42
 `})
 	var stdout, stderr bytes.Buffer
@@ -209,8 +209,8 @@ var Answer = 42
 	if err := json.Unmarshal(stdout.Bytes(), &audit); err != nil {
 		t.Fatalf("-suppressions -json output is not an audit array: %v\n%s", err, stdout.String())
 	}
-	if len(audit) != 1 || !audit[0].Stale || audit[0].Analyzer != "triad" {
-		t.Errorf("audit = %+v, want one stale triad entry", audit)
+	if len(audit) != 1 || !audit[0].Stale || audit[0].Analyzer != "errwrap" {
+		t.Errorf("audit = %+v, want one stale errwrap entry", audit)
 	}
 }
 

@@ -87,15 +87,6 @@ func isNamedIn(t types.Type, pkgSuffix, name string) bool {
 // IsExecCtl reports whether t is *exec.Ctl (or exec.Ctl).
 func IsExecCtl(t types.Type) bool { return isNamedIn(t, "internal/exec", "Ctl") }
 
-// IsExecLimits reports whether t is exec.Limits.
-func IsExecLimits(t types.Type) bool { return isNamedIn(t, "internal/exec", "Limits") }
-
-// IsExecTrace reports whether t is exec.Trace.
-func IsExecTrace(t types.Type) bool { return isNamedIn(t, "internal/exec", "Trace") }
-
-// IsContext reports whether t is context.Context.
-func IsContext(t types.Type) bool { return isNamedIn(t, "context", "Context") }
-
 // IsErrorType reports whether t is the built-in error interface.
 func IsErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())

@@ -1,8 +1,8 @@
 // Package locksafe enforces the System lock discipline from PR 2:
 //
 //   - No heavy compute while holding a registry mutex. The compute
-//     kernels (internal/core, cluster, fascicle, xprofiler) and
-//     exec.Guard must never be called between a sync.Mutex Lock and its
+//     kernels (internal/core, cluster, fascicle, xprofiler), exec.Guard
+//     and exec.Run must never be called between a sync.Mutex Lock and its
 //     Unlock: the pattern is lock → look up → unlock → compute → lock →
 //     register. Holding the registry lock across a miner would serialise
 //     every concurrent session behind one CPU-bound call.
@@ -32,7 +32,7 @@ import (
 // slots.
 var Analyzer = &analysis.Analyzer{
 	Name: "locksafe",
-	Doc:  "no operator/exec.Guard calls while holding a mutex; acquire'd admission slots must be defer-released",
+	Doc:  "no operator/exec.Guard/exec.Run calls while holding a mutex; acquire'd admission slots must be defer-released",
 	Run:  run,
 }
 
@@ -194,10 +194,11 @@ func (s *scan) exprs(e ast.Expr) {
 func isFuncLit(n ast.Node) bool { _, ok := n.(*ast.FuncLit); return ok }
 
 // checkCall reports call if it is heavy while a mutex is held. Heavy
-// means a governed operator entry point of a compute-kernel package — a
-// function whose signature threads a *exec.Ctl or a context.Context —
-// or exec.Guard itself. Plain accessors of kernel packages (Enum.IsPure,
-// Algorithm.String, ...) are cheap and fine under the lock.
+// means a metered operator of a compute-kernel package — a function
+// whose signature threads a *exec.Ctl — or exec.Guard or exec.Run, which
+// run one (the operator itself sits in a function literal, which is
+// scanned with a fresh state). Plain accessors of kernel packages
+// (Enum.IsPure, Algorithm.String, ...) are cheap and fine under the lock.
 func (s *scan) checkCall(call *ast.CallExpr) {
 	mu, held := s.anyHeld()
 	if !held {
@@ -209,30 +210,18 @@ func (s *scan) checkCall(call *ast.CallExpr) {
 	}
 	path := fn.Pkg().Path()
 	switch {
-	case analysis.IsHeavyPkg(path) && isGoverned(fn):
+	case analysis.IsHeavyPkg(path) && isMetered(fn):
 		s.pass.Reportf(call.Pos(), "call to governed operator %s.%s while holding %s: run compute outside the lock (lock → look up → unlock → compute → lock → register)", fn.Pkg().Name(), fn.Name(), mu)
-	case analysis.IsExecPkg(path) && fn.Name() == "Guard":
-		s.pass.Reportf(call.Pos(), "exec.Guard call while holding %s: guarded operator work must not run under a registry lock", mu)
+	case analysis.IsExecPkg(path) && (fn.Name() == "Guard" || fn.Name() == "Run"):
+		s.pass.Reportf(call.Pos(), "exec.%s call while holding %s: guarded operator work must not run under a registry lock", fn.Name(), mu)
 	}
 }
 
-// isGoverned reports whether fn's signature carries a *exec.Ctl or
-// context.Context parameter — the shape of every metered operator
-// entry point.
-func isGoverned(fn *types.Func) bool {
+// isMetered reports whether fn's signature carries a *exec.Ctl — the
+// shape of every metered operator.
+func isMetered(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if analysis.CtlParam(sig) != nil {
-		return true
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if analysis.IsContext(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
+	return ok && analysis.CtlParam(sig) != nil
 }
 
 // mutexOp recognises <expr>.Lock/Unlock/RLock/RUnlock() on a

@@ -14,7 +14,7 @@ import (
 // corpora with the real analyzer-name set the multichecker would use.
 func TestSuppressAnalyzer(t *testing.T) {
 	a := analysis.NewSuppressAnalyzer([]string{
-		"ctlcharge", "triad", "locksafe", "errwrap", "partialflag", "nopanic",
+		"ctlcharge", "locksafe", "errwrap", "partialflag", "nopanic", "spanpair",
 	})
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {

@@ -1,14 +1,9 @@
 // Package core is the testdata stub of a compute-kernel package: one
-// governed operator triad (MineWith/MineCtx/Mine) and some cheap
-// ungoverned helpers, so the locksafe corpora can exercise the
-// heavy-call-under-lock distinction.
+// metered operator (MineWith) and some cheap ungoverned helpers, so the
+// locksafe corpora can exercise the heavy-call-under-lock distinction.
 package core
 
-import (
-	"context"
-
-	"gea/internal/exec"
-)
+import "gea/internal/exec"
 
 type Algorithm int
 
@@ -22,17 +17,6 @@ func MineWith(c *exec.Ctl, prefix string) ([]int, bool, error) {
 		return nil, false, err
 	}
 	return []int{1}, false, nil
-}
-
-func MineCtx(ctx context.Context, prefix string, lim exec.Limits) ([]int, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	r, partial, err := MineWith(c, prefix)
-	return r, c.Snapshot(partial), err
-}
-
-func Mine(prefix string) ([]int, error) {
-	r, _, err := MineWith(exec.Background(), prefix)
-	return r, err
 }
 
 // Describe is a cheap package-level helper: no Ctl, no context — fine

@@ -1,5 +1,6 @@
 // Package exec is the testdata stub of GEA's execution-governance
-// layer: just enough surface (Ctl, Limits, Trace, the sentinels, Guard)
+// layer: just enough surface (Ctl, Limits, Trace, the sentinels, Guard,
+// Run)
 // for the analyzer corpora to typecheck. The analyzers match these
 // types by import-path suffix, so the stub living under
 // testdata/src/gea/internal/exec is indistinguishable from the real
@@ -42,6 +43,12 @@ func (c *Ctl) Exhausted() bool { return errors.Is(c.stopped, ErrBudget) }
 func (c *Ctl) Snapshot(partial bool) Trace { return Trace{Partial: partial} }
 
 func Guard(op, node string, fn func() error) error { return fn() }
+
+func Run[R any](ctx context.Context, lim Limits, op, node string, fn func(*Ctl) (R, bool, error)) (R, Trace, error) {
+	c := New(ctx, lim)
+	r, partial, err := fn(c)
+	return r, c.Snapshot(partial), err
+}
 
 func IsBudget(err error) bool { return errors.Is(err, ErrBudget) }
 

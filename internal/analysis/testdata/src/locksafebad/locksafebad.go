@@ -25,10 +25,13 @@ func (s *System) MineLocked(prefix string) ([]int, error) {
 	return r, err
 }
 
-// CtxLocked: the Ctx operator forms are just as heavy.
-func (s *System) CtxLocked(ctx context.Context, prefix string) ([]int, error) {
+// RunLocked: an operator run under exec.Run is just as heavy, though
+// the operator call itself sits in a function literal.
+func (s *System) RunLocked(ctx context.Context, prefix string) ([]int, error) {
 	s.mu.Lock()
-	r, _, err := core.MineCtx(ctx, prefix, exec.Limits{}) // want `call to governed operator core.MineCtx while holding s.mu`
+	r, _, err := exec.Run(ctx, exec.Limits{}, "core.Mine", prefix, func(c *exec.Ctl) ([]int, bool, error) { // want `exec.Run call while holding s.mu`
+		return core.MineWith(c, prefix)
+	})
 	s.mu.Unlock()
 	return r, err
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 
 	"gea/internal/exec"
@@ -30,38 +29,15 @@ func CorrelationAffinity(a, b []float64) float64 {
 	return 1 - d/2
 }
 
-// CAST clusters the rows and returns per-row labels 0..k-1; k is determined
-// by the algorithm. The classic formulation alternates adding the
-// highest-affinity outside element and removing the lowest-affinity inside
-// element until the open cluster stabilizes, then closes it and starts the
-// next with the unassigned elements.
-func CAST(rows [][]float64, cfg CASTConfig) ([]int, error) {
-	labels, _, err := CASTWith(exec.Background(), rows, cfg)
-	return labels, err
-}
-
-// CASTCtx is CAST under execution governance: cancellation is observed
-// per affinity pair and per stabilization iteration, a budget stop
-// returns the labels assigned so far (unassigned rows stay -1, result
-// flagged partial), and panics are recovered into a structured
-// *exec.ExecError.
-func CASTCtx(ctx context.Context, rows [][]float64, cfg CASTConfig, lim exec.Limits) ([]int, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var labels []int
-	var partial bool
-	err := exec.Guard("cluster.CAST", "", func() error {
-		var err error
-		labels, partial, err = CASTWith(c, rows, cfg)
-		return err
-	})
-	if err != nil {
-		labels = nil
-	}
-	return labels, c.Snapshot(partial), err
-}
-
-// CASTWith is the metered implementation; one work unit is one affinity
-// pair computed or one add/remove stabilization iteration.
+// CASTWith clusters the rows and returns per-row labels 0..k-1; k is
+// determined by the algorithm. The classic formulation alternates adding
+// the highest-affinity outside element and removing the lowest-affinity
+// inside element until the open cluster stabilizes, then closes it and
+// starts the next with the unassigned elements.
+//
+// One work unit is one affinity pair computed or one add/remove
+// stabilization iteration; a budget stop returns the labels assigned so
+// far (unassigned rows stay -1), flagged partial.
 func CASTWith(c *exec.Ctl, rows [][]float64, cfg CASTConfig) (_ []int, partial bool, err error) {
 	sp := c.StartSpan("cluster.CAST")
 	sp.SetInput("%d rows, T=%v", len(rows), cfg.T)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"math/rand"
 	"testing"
+
+	"gea/internal/exec"
 )
 
 func TestCASTSeparatesBlobs(t *testing.T) {
@@ -20,7 +22,7 @@ func TestCASTSeparatesBlobs(t *testing.T) {
 		}
 		rows[i] = r
 	}
-	labels, err := CAST(rows, CASTConfig{T: 0.8})
+	labels, _, err := CASTWith(exec.Background(), rows, CASTConfig{T: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestCASTDeterminesClusterCount(t *testing.T) {
 			rows = append(rows, r)
 		}
 	}
-	labels, err := CAST(rows, CASTConfig{T: 0.8})
+	labels, _, err := CASTWith(exec.Background(), rows, CASTConfig{T: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestCASTDeterminesClusterCount(t *testing.T) {
 func TestCASTThresholdExtremes(t *testing.T) {
 	rows := [][]float64{{1, 2, 3}, {2, 4, 6}, {3, 2, 1}}
 	// T=0: everything joins one cluster.
-	labels, err := CAST(rows, CASTConfig{T: 0})
+	labels, _, err := CASTWith(exec.Background(), rows, CASTConfig{T: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestCASTThresholdExtremes(t *testing.T) {
 		t.Errorf("T=0 clusters = %d, want 1", NumClusters(labels))
 	}
 	// T=1: only perfectly-affine points merge; anticorrelated point splits.
-	labels, err = CAST(rows, CASTConfig{T: 0.999})
+	labels, _, err = CASTWith(exec.Background(), rows, CASTConfig{T: 0.999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +94,13 @@ func TestCASTThresholdExtremes(t *testing.T) {
 }
 
 func TestCASTErrors(t *testing.T) {
-	if _, err := CAST(nil, CASTConfig{T: 0.5}); err == nil {
+	if _, _, err := CASTWith(exec.Background(), nil, CASTConfig{T: 0.5}); err == nil {
 		t.Error("empty rows: expected error")
 	}
-	if _, err := CAST([][]float64{{1}}, CASTConfig{T: -0.1}); err == nil {
+	if _, _, err := CASTWith(exec.Background(), [][]float64{{1}}, CASTConfig{T: -0.1}); err == nil {
 		t.Error("negative T: expected error")
 	}
-	if _, err := CAST([][]float64{{1}}, CASTConfig{T: 1.1}); err == nil {
+	if _, _, err := CASTWith(exec.Background(), [][]float64{{1}}, CASTConfig{T: 1.1}); err == nil {
 		t.Error("T > 1: expected error")
 	}
 }
@@ -113,7 +115,7 @@ func TestCASTAllAssigned(t *testing.T) {
 		}
 		rows[i] = r
 	}
-	labels, err := CAST(rows, CASTConfig{T: 0.7})
+	labels, _, err := CASTWith(exec.Background(), rows, CASTConfig{T: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"gea/internal/exec"
 )
 
 // twoBlobs returns two well-separated groups of points: rows 0..4 near the
@@ -44,7 +46,7 @@ func TestHierarchicalSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rows := twoBlobs(rng, 6)
 	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		dg, err := Hierarchical(rows, EuclideanDistance, linkage)
+		dg, _, err := HierarchicalWith(exec.Background(), rows, EuclideanDistance, linkage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +71,7 @@ func TestHierarchicalHeightsMonotoneForSingleLinkage(t *testing.T) {
 	for i := range rows {
 		rows[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
 	}
-	dg, err := Hierarchical(rows, EuclideanDistance, SingleLinkage)
+	dg, _, err := HierarchicalWith(exec.Background(), rows, EuclideanDistance, SingleLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +84,10 @@ func TestHierarchicalHeightsMonotoneForSingleLinkage(t *testing.T) {
 }
 
 func TestHierarchicalEdgeCases(t *testing.T) {
-	if _, err := Hierarchical(nil, EuclideanDistance, AverageLinkage); err == nil {
+	if _, _, err := HierarchicalWith(exec.Background(), nil, EuclideanDistance, AverageLinkage); err == nil {
 		t.Error("empty rows: expected error")
 	}
-	dg, err := Hierarchical([][]float64{{1, 2}}, EuclideanDistance, AverageLinkage)
+	dg, _, err := HierarchicalWith(exec.Background(), [][]float64{{1, 2}}, EuclideanDistance, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestHierarchicalEdgeCases(t *testing.T) {
 func TestCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := twoBlobs(rng, 3)
-	dg, err := Hierarchical(rows, EuclideanDistance, AverageLinkage)
+	dg, _, err := HierarchicalWith(exec.Background(), rows, EuclideanDistance, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestCut(t *testing.T) {
 func TestLeavesIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rows := twoBlobs(rng, 4)
-	dg, err := Hierarchical(rows, CorrelationDistance, AverageLinkage)
+	dg, _, err := HierarchicalWith(exec.Background(), rows, CorrelationDistance, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestLinkageString(t *testing.T) {
 func TestKMeansSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rows := twoBlobs(rng, 5)
-	res, err := KMeans(rows, 2, rng, 0)
+	res, _, err := KMeansWith(exec.Background(), rows, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +189,17 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 
 func TestKMeansErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	if _, err := KMeans(nil, 2, rng, 0); err == nil {
+	if _, _, err := KMeansWith(exec.Background(), nil, 2, rng, 0); err == nil {
 		t.Error("empty rows: expected error")
 	}
 	rows := [][]float64{{1}, {2}}
-	if _, err := KMeans(rows, 0, rng, 0); err == nil {
+	if _, _, err := KMeansWith(exec.Background(), rows, 0, rng, 0); err == nil {
 		t.Error("k=0: expected error")
 	}
-	if _, err := KMeans(rows, 3, rng, 0); err == nil {
+	if _, _, err := KMeansWith(exec.Background(), rows, 3, rng, 0); err == nil {
 		t.Error("k>n: expected error")
 	}
-	if _, err := KMeans([][]float64{{1}, {2, 3}}, 1, rng, 0); err == nil {
+	if _, _, err := KMeansWith(exec.Background(), [][]float64{{1}, {2, 3}}, 1, rng, 0); err == nil {
 		t.Error("ragged rows: expected error")
 	}
 }
@@ -205,7 +207,7 @@ func TestKMeansErrors(t *testing.T) {
 func TestKMeansKEqualsN(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rows := [][]float64{{0}, {10}, {20}}
-	res, err := KMeans(rows, 3, rng, 0)
+	res, _, err := KMeansWith(exec.Background(), rows, 3, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestKMeansKEqualsN(t *testing.T) {
 func TestKMeansDuplicatePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rows := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	res, err := KMeans(rows, 2, rng, 0)
+	res, _, err := KMeansWith(exec.Background(), rows, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestKMeansDuplicatePoints(t *testing.T) {
 func TestSOMSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := twoBlobs(rng, 4)
-	res, err := SOM(rows, SOMConfig{GridW: 2, GridH: 1, Epochs: 100}, rng)
+	res, _, err := SOMWith(exec.Background(), rows, SOMConfig{GridW: 2, GridH: 1, Epochs: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +246,14 @@ func TestSOMSeparatesBlobs(t *testing.T) {
 
 func TestSOMErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	if _, err := SOM(nil, SOMConfig{GridW: 1, GridH: 1}, rng); err == nil {
+	if _, _, err := SOMWith(exec.Background(), nil, SOMConfig{GridW: 1, GridH: 1}, rng); err == nil {
 		t.Error("empty rows: expected error")
 	}
 	rows := [][]float64{{1}, {2}}
-	if _, err := SOM(rows, SOMConfig{GridW: 0, GridH: 1}, rng); err == nil {
+	if _, _, err := SOMWith(exec.Background(), rows, SOMConfig{GridW: 0, GridH: 1}, rng); err == nil {
 		t.Error("bad grid: expected error")
 	}
-	if _, err := SOM([][]float64{{1}, {2, 3}}, SOMConfig{GridW: 1, GridH: 1}, rng); err == nil {
+	if _, _, err := SOMWith(exec.Background(), [][]float64{{1}, {2, 3}}, SOMConfig{GridW: 1, GridH: 1}, rng); err == nil {
 		t.Error("ragged rows: expected error")
 	}
 }
@@ -259,7 +261,7 @@ func TestSOMErrors(t *testing.T) {
 func TestOPTICSOrderingCoversAllPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := twoBlobs(rng, 4)
-	order, err := OPTICS(rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 3, Dist: EuclideanDistance})
+	order, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 3, Dist: EuclideanDistance})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestOPTICSOrderingCoversAllPoints(t *testing.T) {
 func TestOPTICSSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	rows := twoBlobs(rng, 4)
-	order, err := OPTICS(rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 3, Dist: EuclideanDistance})
+	order, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 3, Dist: EuclideanDistance})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +312,7 @@ func TestOPTICSDefaultDistanceIsCorrelation(t *testing.T) {
 		{10, 20, 30, 40},
 		{2, 4, 6, 8},
 	}
-	order, err := OPTICS(rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 2})
+	order, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,13 +324,13 @@ func TestOPTICSDefaultDistanceIsCorrelation(t *testing.T) {
 
 func TestOPTICSErrors(t *testing.T) {
 	rows := [][]float64{{1}, {2}}
-	if _, err := OPTICS(nil, OPTICSConfig{Eps: 1, MinPts: 1}); err == nil {
+	if _, _, err := OPTICSWith(exec.Background(), nil, OPTICSConfig{Eps: 1, MinPts: 1}); err == nil {
 		t.Error("empty rows: expected error")
 	}
-	if _, err := OPTICS(rows, OPTICSConfig{Eps: 1, MinPts: 0}); err == nil {
+	if _, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: 1, MinPts: 0}); err == nil {
 		t.Error("MinPts=0: expected error")
 	}
-	if _, err := OPTICS(rows, OPTICSConfig{Eps: 0, MinPts: 1}); err == nil {
+	if _, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: 0, MinPts: 1}); err == nil {
 		t.Error("Eps=0: expected error")
 	}
 }
@@ -336,7 +338,7 @@ func TestOPTICSErrors(t *testing.T) {
 func TestOPTICSNoisePoint(t *testing.T) {
 	// One far-away point with restrictive eps becomes noise.
 	rows := [][]float64{{0}, {1}, {2}, {1000}}
-	order, err := OPTICS(rows, OPTICSConfig{Eps: 5, MinPts: 2, Dist: EuclideanDistance})
+	order, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: 5, MinPts: 2, Dist: EuclideanDistance})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,9 @@ func TestHierarchicalCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "Hierarchical",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := HierarchicalCtx(ctx, rows, EuclideanDistance, AverageLinkage, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.Hierarchical", "", func(c *exec.Ctl) (*Dendrogram, bool, error) {
+				return HierarchicalWith(c, rows, EuclideanDistance, AverageLinkage)
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -36,7 +38,9 @@ func TestKMeansCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "KMeans",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := KMeansCtx(ctx, rows, 2, rand.New(rand.NewSource(3)), 20, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.KMeans", "", func(c *exec.Ctl) (*KMeansResult, bool, error) {
+				return KMeansWith(c, rows, 2, rand.New(rand.NewSource(3)), 20)
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -49,7 +53,9 @@ func TestSOMCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "SOM",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := SOMCtx(ctx, rows, cfg, rand.New(rand.NewSource(3)), lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.SOM", "", func(c *exec.Ctl) (*SOMResult, bool, error) {
+				return SOMWith(c, rows, cfg, rand.New(rand.NewSource(3)))
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -62,7 +68,9 @@ func TestOPTICSCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "OPTICS",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := OPTICSCtx(ctx, rows, cfg, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.OPTICS", "", func(c *exec.Ctl) ([]OPTICSPoint, bool, error) {
+				return OPTICSWith(c, rows, cfg)
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -75,7 +83,9 @@ func TestCASTCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "CAST",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := CASTCtx(ctx, rows, cfg, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.CAST", "", func(c *exec.Ctl) ([]int, bool, error) {
+				return CASTWith(c, rows, cfg)
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -91,63 +101,63 @@ func TestClusterParamErrors(t *testing.T) {
 	nan := math.NaN()
 	cases := map[string]func() error{
 		"kmeans k=0": func() error {
-			_, err := KMeans(rows, 0, rng, 10)
+			_, _, err := KMeansWith(exec.Background(), rows, 0, rng, 10)
 			return err
 		},
 		"kmeans k>n": func() error {
-			_, err := KMeans(rows, len(rows)+1, rng, 10)
+			_, _, err := KMeansWith(exec.Background(), rows, len(rows)+1, rng, 10)
 			return err
 		},
 		"kmeans nil rng": func() error {
-			_, err := KMeans(rows, 2, nil, 10)
+			_, _, err := KMeansWith(exec.Background(), rows, 2, nil, 10)
 			return err
 		},
 		"kmeans ragged rows": func() error {
-			_, err := KMeans([][]float64{{1, 2}, {1}}, 1, rng, 10)
+			_, _, err := KMeansWith(exec.Background(), [][]float64{{1, 2}, {1}}, 1, rng, 10)
 			return err
 		},
 		"som zero grid": func() error {
-			_, err := SOM(rows, SOMConfig{GridW: 0, GridH: 2}, rng)
+			_, _, err := SOMWith(exec.Background(), rows, SOMConfig{GridW: 0, GridH: 2}, rng)
 			return err
 		},
 		"som nan learning rate": func() error {
-			_, err := SOM(rows, SOMConfig{GridW: 2, GridH: 1, LearningRate: nan}, rng)
+			_, _, err := SOMWith(exec.Background(), rows, SOMConfig{GridW: 2, GridH: 1, LearningRate: nan}, rng)
 			return err
 		},
 		"som nan radius": func() error {
-			_, err := SOM(rows, SOMConfig{GridW: 2, GridH: 1, Radius: nan}, rng)
+			_, _, err := SOMWith(exec.Background(), rows, SOMConfig{GridW: 2, GridH: 1, Radius: nan}, rng)
 			return err
 		},
 		"optics minpts=0": func() error {
-			_, err := OPTICS(rows, OPTICSConfig{Eps: 1, MinPts: 0})
+			_, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: 1, MinPts: 0})
 			return err
 		},
 		"optics eps=0": func() error {
-			_, err := OPTICS(rows, OPTICSConfig{Eps: 0, MinPts: 1})
+			_, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: 0, MinPts: 1})
 			return err
 		},
 		"optics nan eps": func() error {
-			_, err := OPTICS(rows, OPTICSConfig{Eps: nan, MinPts: 1})
+			_, _, err := OPTICSWith(exec.Background(), rows, OPTICSConfig{Eps: nan, MinPts: 1})
 			return err
 		},
 		"cast t>1": func() error {
-			_, err := CAST(rows, CASTConfig{T: 1.5})
+			_, _, err := CASTWith(exec.Background(), rows, CASTConfig{T: 1.5})
 			return err
 		},
 		"cast nan t": func() error {
-			_, err := CAST(rows, CASTConfig{T: nan})
+			_, _, err := CASTWith(exec.Background(), rows, CASTConfig{T: nan})
 			return err
 		},
 		"hierarchical nil dist": func() error {
-			_, err := Hierarchical(rows, nil, AverageLinkage)
+			_, _, err := HierarchicalWith(exec.Background(), rows, nil, AverageLinkage)
 			return err
 		},
 		"hierarchical bad linkage": func() error {
-			_, err := Hierarchical(rows, EuclideanDistance, Linkage(99))
+			_, _, err := HierarchicalWith(exec.Background(), rows, EuclideanDistance, Linkage(99))
 			return err
 		},
 		"hierarchical no rows": func() error {
-			_, err := Hierarchical(nil, EuclideanDistance, AverageLinkage)
+			_, _, err := HierarchicalWith(exec.Background(), nil, EuclideanDistance, AverageLinkage)
 			return err
 		},
 	}
@@ -166,12 +176,14 @@ func TestClusterParamErrors(t *testing.T) {
 // uncommitted rows at -1 instead of inventing cluster labels.
 func TestCASTPartialNeverLies(t *testing.T) {
 	rows := walkRows()
-	full, err := CAST(rows, CASTConfig{T: 0.5})
+	full, _, err := CASTWith(exec.Background(), rows, CASTConfig{T: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for budget := int64(1); budget < 60; budget += 5 {
-		labels, tr, err := CASTCtx(context.Background(), rows, CASTConfig{T: 0.5}, exec.Limits{Budget: budget})
+		labels, tr, err := exec.Run(context.Background(), exec.Limits{Budget: budget}, "cluster.CAST", "", func(c *exec.Ctl) ([]int, bool, error) {
+			return CASTWith(c, rows, CASTConfig{T: 0.5})
+		})
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -199,7 +211,9 @@ func TestShardEquivHierarchical(t *testing.T) {
 		Name: "Hierarchical",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			dg, tr, err := HierarchicalCtx(ctx, rows, EuclideanDistance, AverageLinkage, lim)
+			dg, tr, err := exec.Run(ctx, lim, "cluster.Hierarchical", "", func(c *exec.Ctl) (*Dendrogram, bool, error) {
+				return HierarchicalWith(c, rows, EuclideanDistance, AverageLinkage)
+			})
 			if err != nil {
 				return nil, tr, err
 			}
@@ -222,7 +236,9 @@ func TestShardEquivOPTICS(t *testing.T) {
 		Name: "OPTICS",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			order, tr, err := OPTICSCtx(ctx, rows, cfg, lim)
+			order, tr, err := exec.Run(ctx, lim, "cluster.OPTICS", "", func(c *exec.Ctl) ([]OPTICSPoint, bool, error) {
+				return OPTICSWith(c, rows, cfg)
+			})
 			if err != nil {
 				return nil, tr, err
 			}
@@ -308,7 +324,9 @@ func TestShardEquivKMeans(t *testing.T) {
 	rows := walkRows()
 	assertShardEquivalence(t, func(workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 		lim.Workers = workers
-		res, tr, err := KMeansCtx(context.Background(), rows, 2, rand.New(rand.NewSource(3)), 20, lim)
+		res, tr, err := exec.Run(context.Background(), lim, "cluster.KMeans", "", func(c *exec.Ctl) (*KMeansResult, bool, error) {
+			return KMeansWith(c, rows, 2, rand.New(rand.NewSource(3)), 20)
+		})
 		if err != nil {
 			return nil, tr, err
 		}
@@ -329,7 +347,9 @@ func TestShardEquivSOM(t *testing.T) {
 	cfg := SOMConfig{GridW: 2, GridH: 1, Epochs: 5}
 	assertShardEquivalence(t, func(workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 		lim.Workers = workers
-		res, tr, err := SOMCtx(context.Background(), rows, cfg, rand.New(rand.NewSource(3)), lim)
+		res, tr, err := exec.Run(context.Background(), lim, "cluster.SOM", "", func(c *exec.Ctl) (*SOMResult, bool, error) {
+			return SOMWith(c, rows, cfg, rand.New(rand.NewSource(3)))
+		})
 		if err != nil {
 			return nil, tr, err
 		}
@@ -350,7 +370,9 @@ func TestShardEquivCAST(t *testing.T) {
 	cfg := CASTConfig{T: 0.5}
 	assertShardEquivalence(t, func(workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 		lim.Workers = workers
-		labels, tr, err := CASTCtx(context.Background(), rows, cfg, lim)
+		labels, tr, err := exec.Run(context.Background(), lim, "cluster.CAST", "", func(c *exec.Ctl) ([]int, bool, error) {
+			return CASTWith(c, rows, cfg)
+		})
 		if err != nil {
 			return nil, tr, err
 		}

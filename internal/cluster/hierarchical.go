@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -74,35 +73,13 @@ type Merge struct {
 	Distance float64 // linkage distance at which they merged
 }
 
-// Hierarchical clusters the given row vectors bottom-up. It is O(n^3) in the
-// number of rows with O(n^2) memory — fine for the ~100 libraries of the
-// SAGE corpus (the thesis clusters libraries, not the 60k tags).
-func Hierarchical(rows [][]float64, dist DistanceFunc, linkage Linkage) (*Dendrogram, error) {
-	dg, _, err := HierarchicalWith(exec.Background(), rows, dist, linkage)
-	return dg, err
-}
-
-// HierarchicalCtx is Hierarchical under execution governance: the O(n^3)
-// merge search polls cancellation at every candidate pair, a budget stop
-// returns the merges completed so far as a flagged partial dendrogram,
-// and panics become structured *exec.ExecErrors.
-func HierarchicalCtx(ctx context.Context, rows [][]float64, dist DistanceFunc, linkage Linkage, lim exec.Limits) (*Dendrogram, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var dg *Dendrogram
-	var partial bool
-	err := exec.Guard("cluster.Hierarchical", "", func() error {
-		var err error
-		dg, partial, err = HierarchicalWith(c, rows, dist, linkage)
-		return err
-	})
-	if err != nil {
-		dg = nil
-	}
-	return dg, c.Snapshot(partial), err
-}
-
-// HierarchicalWith is the metered implementation; one work unit is one
-// leaf-pair distance or one candidate cluster pair scanned.
+// HierarchicalWith clusters the given row vectors bottom-up. It is O(n^3)
+// in the number of rows with O(n^2) memory — fine for the ~100 libraries
+// of the SAGE corpus (the thesis clusters libraries, not the 60k tags).
+//
+// One work unit is one leaf-pair distance or one candidate cluster pair
+// scanned; a budget stop returns the merges completed so far as a flagged
+// partial dendrogram.
 func HierarchicalWith(c *exec.Ctl, rows [][]float64, dist DistanceFunc, linkage Linkage) (_ *Dendrogram, partial bool, err error) {
 	sp := c.StartSpan("cluster.Hierarchical")
 	sp.SetInput("%d rows, linkage=%d", len(rows), int(linkage))

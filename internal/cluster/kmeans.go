@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,37 +17,14 @@ type KMeansResult struct {
 	Iters     int         // iterations until convergence
 }
 
-// KMeans clusters rows into k groups with Lloyd's algorithm, seeded by
+// KMeansWith clusters rows into k groups with Lloyd's algorithm, seeded by
 // k-means++ from the given source. It is the "top-down" method of
 // Section 2.3.1 where "the user pre-defines the number of clusters ... the
 // clusters are initially assigned randomly and the genes are regrouped
 // iteratively until they are optimally clustered".
-func KMeans(rows [][]float64, k int, rng *rand.Rand, maxIters int) (*KMeansResult, error) {
-	res, _, err := KMeansWith(exec.Background(), rows, k, rng, maxIters)
-	return res, err
-}
-
-// KMeansCtx is KMeans under execution governance: cancellation and
-// deadlines are observed once per Lloyd's-iteration row, a budget stop
-// returns the current labels/centroids flagged partial, and panics are
-// recovered into a structured *exec.ExecError.
-func KMeansCtx(ctx context.Context, rows [][]float64, k int, rng *rand.Rand, maxIters int, lim exec.Limits) (*KMeansResult, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var res *KMeansResult
-	var partial bool
-	err := exec.Guard("cluster.KMeans", "", func() error {
-		var err error
-		res, partial, err = KMeansWith(c, rows, k, rng, maxIters)
-		return err
-	})
-	if err != nil {
-		res = nil
-	}
-	return res, c.Snapshot(partial), err
-}
-
-// KMeansWith is the metered implementation; one work unit is one row
-// visited during seeding or assignment.
+//
+// One work unit is one row visited during seeding or assignment; a budget
+// stop returns the current labels and centroids, flagged partial.
 func KMeansWith(c *exec.Ctl, rows [][]float64, k int, rng *rand.Rand, maxIters int) (_ *KMeansResult, partial bool, err error) {
 	sp := c.StartSpan("cluster.KMeans")
 	sp.SetInput("%d rows, k=%d", len(rows), k)

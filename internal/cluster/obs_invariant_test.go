@@ -23,23 +23,33 @@ func TestSpanInvariantClusterers(t *testing.T) {
 		run  func(ctx context.Context, lim exec.Limits) (exec.Trace, error)
 	}{
 		{"Hierarchical", "cluster.Hierarchical", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := HierarchicalCtx(ctx, rows, EuclideanDistance, AverageLinkage, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.Hierarchical", "", func(c *exec.Ctl) (*Dendrogram, bool, error) {
+				return HierarchicalWith(c, rows, EuclideanDistance, AverageLinkage)
+			})
 			return tr, err
 		}},
 		{"KMeans", "cluster.KMeans", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := KMeansCtx(ctx, rows, 2, rand.New(rand.NewSource(3)), 20, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.KMeans", "", func(c *exec.Ctl) (*KMeansResult, bool, error) {
+				return KMeansWith(c, rows, 2, rand.New(rand.NewSource(3)), 20)
+			})
 			return tr, err
 		}},
 		{"SOM", "cluster.SOM", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := SOMCtx(ctx, rows, SOMConfig{GridW: 2, GridH: 1, Epochs: 5}, rand.New(rand.NewSource(3)), lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.SOM", "", func(c *exec.Ctl) (*SOMResult, bool, error) {
+				return SOMWith(c, rows, SOMConfig{GridW: 2, GridH: 1, Epochs: 5}, rand.New(rand.NewSource(3)))
+			})
 			return tr, err
 		}},
 		{"OPTICS", "cluster.OPTICS", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := OPTICSCtx(ctx, rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 2, Dist: EuclideanDistance}, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.OPTICS", "", func(c *exec.Ctl) ([]OPTICSPoint, bool, error) {
+				return OPTICSWith(c, rows, OPTICSConfig{Eps: math.Inf(1), MinPts: 2, Dist: EuclideanDistance})
+			})
 			return tr, err
 		}},
 		{"CAST", "cluster.CAST", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := CASTCtx(ctx, rows, CASTConfig{T: 0.5}, lim)
+			_, tr, err := exec.Run(ctx, lim, "cluster.CAST", "", func(c *exec.Ctl) ([]int, bool, error) {
+				return CASTWith(c, rows, CASTConfig{T: 0.5})
+			})
 			return tr, err
 		}},
 	} {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -30,35 +29,13 @@ type OPTICSPoint struct {
 	CoreDistance float64 // +Inf if not a core point
 }
 
-// OPTICS computes the augmented cluster ordering of the rows. Valleys in the
-// reachability plot are clusters; ExtractDBSCAN flattens the ordering at a
-// fixed eps'.
-func OPTICS(rows [][]float64, cfg OPTICSConfig) ([]OPTICSPoint, error) {
-	order, _, err := OPTICSWith(exec.Background(), rows, cfg)
-	return order, err
-}
-
-// OPTICSCtx is OPTICS under execution governance: cancellation is
-// observed per distance-matrix pair and per processed point, a budget
-// stop returns the ordering produced so far flagged partial, and panics
-// are recovered into a structured *exec.ExecError.
-func OPTICSCtx(ctx context.Context, rows [][]float64, cfg OPTICSConfig, lim exec.Limits) ([]OPTICSPoint, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var order []OPTICSPoint
-	var partial bool
-	err := exec.Guard("cluster.OPTICS", "", func() error {
-		var err error
-		order, partial, err = OPTICSWith(c, rows, cfg)
-		return err
-	})
-	if err != nil {
-		order = nil
-	}
-	return order, c.Snapshot(partial), err
-}
-
-// OPTICSWith is the metered implementation; one work unit is one
-// distance-matrix pair computed or one point added to the ordering.
+// OPTICSWith computes the augmented cluster ordering of the rows. Valleys
+// in the reachability plot are clusters; ExtractDBSCAN flattens the
+// ordering at a fixed eps'.
+//
+// One work unit is one distance-matrix pair computed or one point added
+// to the ordering; a budget stop returns the ordering produced so far,
+// flagged partial.
 func OPTICSWith(c *exec.Ctl, rows [][]float64, cfg OPTICSConfig) (_ []OPTICSPoint, partial bool, err error) {
 	sp := c.StartSpan("cluster.OPTICS")
 	sp.SetInput("%d rows, minPts=%d eps=%v", len(rows), cfg.MinPts, cfg.Eps)

@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"gea/internal/exec"
 )
 
 func TestRenderDendrogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rows := twoBlobs(rng, 3)
-	dg, err := Hierarchical(rows, EuclideanDistance, AverageLinkage)
+	dg, _, err := HierarchicalWith(exec.Background(), rows, EuclideanDistance, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestRenderDendrogram(t *testing.T) {
 	if _, err := RenderDendrogram(dg, labels[:3]); err == nil {
 		t.Error("label mismatch: expected error")
 	}
-	single, err := Hierarchical(rows[:1], EuclideanDistance, AverageLinkage)
+	single, _, err := HierarchicalWith(exec.Background(), rows[:1], EuclideanDistance, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestEisenWorkflow(t *testing.T) {
 			labels[g] = "D" + string(rune('0'+g))
 		}
 	}
-	dg, err := Hierarchical(genes, CorrelationDistance, AverageLinkage)
+	dg, _, err := HierarchicalWith(exec.Background(), genes, CorrelationDistance, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,35 +31,14 @@ type SOMResult struct {
 	Labels  []int       // best-matching unit (y*GridW+x) per row
 }
 
-// SOM trains a self-organizing map on the row vectors, the method "well
-// suited to identifying a small number of prominent classes in a small data
-// set" that Golub et al. used to separate ALL from AML (Section 2.3.2).
-func SOM(rows [][]float64, cfg SOMConfig, rng *rand.Rand) (*SOMResult, error) {
-	res, _, err := SOMWith(exec.Background(), rows, cfg, rng)
-	return res, err
-}
-
-// SOMCtx is SOM under execution governance: cancellation is observed
-// once per training step, a budget stop labels the rows against the
-// partially trained map (flagged partial), and panics are recovered
-// into a structured *exec.ExecError.
-func SOMCtx(ctx context.Context, rows [][]float64, cfg SOMConfig, rng *rand.Rand, lim exec.Limits) (*SOMResult, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var res *SOMResult
-	var partial bool
-	err := exec.Guard("cluster.SOM", "", func() error {
-		var err error
-		res, partial, err = SOMWith(c, rows, cfg, rng)
-		return err
-	})
-	if err != nil {
-		res = nil
-	}
-	return res, c.Snapshot(partial), err
-}
-
-// SOMWith is the metered implementation; one work unit is one training
-// step (one sample folded into the map).
+// SOMWith trains a self-organizing map on the row vectors, the method
+// "well suited to identifying a small number of prominent classes in a
+// small data set" that Golub et al. used to separate ALL from AML
+// (Section 2.3.2).
+//
+// One work unit is one training step (one sample folded into the map); a
+// budget stop labels the rows against the partially trained map, flagged
+// partial.
 func SOMWith(c *exec.Ctl, rows [][]float64, cfg SOMConfig, rng *rand.Rand) (_ *SOMResult, partial bool, err error) {
 	sp := c.StartSpan("cluster.SOM")
 	sp.SetInput("%d rows, grid %dx%d", len(rows), cfg.GridW, cfg.GridH)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"gea/internal/exec"
@@ -17,37 +16,16 @@ type AggregateOptions struct {
 	WithMedian bool
 }
 
-// Aggregate converts a cluster from its extensional form to its intensional
-// form: for each tag of the Enum, the range, mean and standard deviation of
-// its expression levels across the member libraries (the aggregate()
-// operator of Figure 3.1, the inverse of populate).
-func Aggregate(name string, e *Enum, opts AggregateOptions) (*Sumy, error) {
-	s, _, err := AggregateWith(exec.Background(), name, e, opts)
-	return s, err
-}
-
-// AggregateCtx is Aggregate under execution governance; on budget
-// exhaustion the tags aggregated so far form a flagged partial SUMY.
-func AggregateCtx(ctx context.Context, name string, e *Enum, opts AggregateOptions, lim exec.Limits) (*Sumy, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var s *Sumy
-	var partial bool
-	err := exec.Guard("core.Aggregate", name, func() error {
-		var err error
-		s, partial, err = AggregateWith(c, name, e, opts)
-		return err
-	})
-	if err != nil {
-		s = nil
-	}
-	return s, c.Snapshot(partial), err
-}
-
-// AggregateWith is the metered implementation; one work unit is one tag
-// column aggregated. Columns evaluate through the shard substrate —
-// each worker aggregates a contiguous column range into its own slots
-// with its own scratch buffer, so the SUMY is bit-identical at any
-// worker count.
+// AggregateWith converts a cluster from its extensional form to its
+// intensional form: for each tag of the Enum, the range, mean and standard
+// deviation of its expression levels across the member libraries (the
+// aggregate() operator of Figure 3.1, the inverse of populate).
+//
+// One work unit is one tag column aggregated; on budget exhaustion the
+// tags aggregated so far form a flagged partial SUMY. Columns evaluate
+// through the shard substrate — each worker aggregates a contiguous
+// column range into its own slots with its own scratch buffer, so the
+// SUMY is bit-identical at any worker count.
 func AggregateWith(c *exec.Ctl, name string, e *Enum, opts AggregateOptions) (_ *Sumy, partial bool, err error) {
 	sp := c.StartSpan("core.Aggregate")
 	sp.SetInput("enum %s: %d libraries x %d tags", e.Name, e.Size(), e.NumTags())
@@ -107,34 +85,13 @@ func AggregateWith(c *exec.Ctl, name string, e *Enum, opts AggregateOptions) (_ 
 // SumyPredicate decides whether a SUMY row qualifies for selection.
 type SumyPredicate func(SumyRow) bool
 
-// SelectSumy applies relational selection to a SUMY table, producing another
-// SUMY table (Section 3.2.3).
-func SelectSumy(name string, s *Sumy, pred SumyPredicate) (*Sumy, error) {
-	out, _, err := SelectSumyWith(exec.Background(), name, s, pred)
-	return out, err
-}
-
-// SelectSumyCtx is SelectSumy under execution governance; on budget
-// exhaustion the rows tested so far form a flagged partial SUMY.
-func SelectSumyCtx(ctx context.Context, name string, s *Sumy, pred SumyPredicate, lim exec.Limits) (*Sumy, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var out *Sumy
-	var partial bool
-	err := exec.Guard("core.SelectSumy", name, func() error {
-		var err error
-		out, partial, err = SelectSumyWith(c, name, s, pred)
-		return err
-	})
-	if err != nil {
-		out = nil
-	}
-	return out, c.Snapshot(partial), err
-}
-
-// SelectSumyWith is the metered implementation; one work unit is one
-// row tested. The predicate must be a pure function of its row: the
-// scan evaluates through the shard substrate, which may call it from
-// several goroutines.
+// SelectSumyWith applies relational selection to a SUMY table, producing
+// another SUMY table (Section 3.2.3).
+//
+// One work unit is one row tested; on budget exhaustion the rows tested
+// so far form a flagged partial SUMY. The predicate must be a pure
+// function of its row: the scan evaluates through the shard substrate,
+// which may call it from several goroutines.
 func SelectSumyWith(c *exec.Ctl, name string, s *Sumy, pred SumyPredicate) (_ *Sumy, partial bool, err error) {
 	sp := c.StartSpan("core.SelectSumy")
 	sp.SetInput("sumy %s: %d rows", s.Name, len(s.Rows))
@@ -175,32 +132,10 @@ func RangeAnyOverlap(query interval.Interval) SumyPredicate {
 	return func(r SumyRow) bool { return interval.AnyOverlap(r.Range, query) }
 }
 
-// ProjectSumy drops extra aggregate columns, keeping only the named ones
-// (the standard projection operator on SUMY tables).
-func ProjectSumy(name string, s *Sumy, keep ...string) (*Sumy, error) {
-	out, _, err := ProjectSumyWith(exec.Background(), name, s, keep)
-	return out, err
-}
-
-// ProjectSumyCtx is ProjectSumy under execution governance; on budget
-// exhaustion the rows projected so far form a flagged partial SUMY.
-func ProjectSumyCtx(ctx context.Context, name string, s *Sumy, keep []string, lim exec.Limits) (*Sumy, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var out *Sumy
-	var partial bool
-	err := exec.Guard("core.ProjectSumy", name, func() error {
-		var err error
-		out, partial, err = ProjectSumyWith(c, name, s, keep)
-		return err
-	})
-	if err != nil {
-		out = nil
-	}
-	return out, c.Snapshot(partial), err
-}
-
-// ProjectSumyWith is the metered implementation; one work unit is one
-// row projected.
+// ProjectSumyWith drops extra aggregate columns, keeping only the named
+// ones (the standard projection operator on SUMY tables). One work unit
+// is one row projected; on budget exhaustion the rows projected so far
+// form a flagged partial SUMY.
 func ProjectSumyWith(c *exec.Ctl, name string, s *Sumy, keep []string) (_ *Sumy, partial bool, err error) {
 	sp := c.StartSpan("core.ProjectSumy")
 	sp.SetInput("sumy %s: %d rows, keep %d cols", s.Name, len(s.Rows), len(keep))
@@ -244,32 +179,10 @@ func ProjectSumyWith(c *exec.Ctl, name string, s *Sumy, keep []string) (_ *Sumy,
 	return NewSumy(name, out[:prefix], cols), partial, nil
 }
 
-// MinusSumy extracts the tags appearing in a but missing in b (tag-level set
-// minus, Section 3.2.3).
-func MinusSumy(name string, a, b *Sumy) (*Sumy, error) {
-	out, _, err := MinusSumyWith(exec.Background(), name, a, b)
-	return out, err
-}
-
-// MinusSumyCtx is MinusSumy under execution governance; on budget
-// exhaustion the tags examined so far form a flagged partial SUMY.
-func MinusSumyCtx(ctx context.Context, name string, a, b *Sumy, lim exec.Limits) (*Sumy, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var out *Sumy
-	var partial bool
-	err := exec.Guard("core.MinusSumy", name, func() error {
-		var err error
-		out, partial, err = MinusSumyWith(c, name, a, b)
-		return err
-	})
-	if err != nil {
-		out = nil
-	}
-	return out, c.Snapshot(partial), err
-}
-
-// MinusSumyWith is the metered implementation; one work unit is one tag
-// of a probed against b.
+// MinusSumyWith extracts the tags appearing in a but missing in b
+// (tag-level set minus, Section 3.2.3). One work unit is one tag of a
+// probed against b; on budget exhaustion the tags examined so far form a
+// flagged partial SUMY.
 func MinusSumyWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Sumy, partial bool, err error) {
 	sp := c.StartSpan("core.MinusSumy")
 	sp.SetInput("%s (%d rows) minus %s (%d rows)", a.Name, len(a.Rows), b.Name, len(b.Rows))
@@ -280,33 +193,9 @@ func MinusSumyWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Sumy, partial bool,
 	})
 }
 
-// IntersectSumy keeps the tags of a that also appear in b, with a's
-// aggregates.
-func IntersectSumy(name string, a, b *Sumy) (*Sumy, error) {
-	out, _, err := IntersectSumyWith(exec.Background(), name, a, b)
-	return out, err
-}
-
-// IntersectSumyCtx is IntersectSumy under execution governance; on
-// budget exhaustion the tags examined so far form a flagged partial
-// SUMY.
-func IntersectSumyCtx(ctx context.Context, name string, a, b *Sumy, lim exec.Limits) (*Sumy, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var out *Sumy
-	var partial bool
-	err := exec.Guard("core.IntersectSumy", name, func() error {
-		var err error
-		out, partial, err = IntersectSumyWith(c, name, a, b)
-		return err
-	})
-	if err != nil {
-		out = nil
-	}
-	return out, c.Snapshot(partial), err
-}
-
-// IntersectSumyWith is the metered implementation; one work unit is one
-// tag of a probed against b.
+// IntersectSumyWith keeps the tags of a that also appear in b, with a's
+// aggregates. One work unit is one tag of a probed against b; on budget
+// exhaustion the tags examined so far form a flagged partial SUMY.
 func IntersectSumyWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Sumy, partial bool, err error) {
 	sp := c.StartSpan("core.IntersectSumy")
 	sp.SetInput("%s (%d rows) intersect %s (%d rows)", a.Name, len(a.Rows), b.Name, len(b.Rows))
@@ -317,32 +206,10 @@ func IntersectSumyWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Sumy, partial b
 	})
 }
 
-// UnionSumy concatenates a with the b-only tags (a's values win on common
-// tags; extra columns from a).
-func UnionSumy(name string, a, b *Sumy) (*Sumy, error) {
-	out, _, err := UnionSumyWith(exec.Background(), name, a, b)
-	return out, err
-}
-
-// UnionSumyCtx is UnionSumy under execution governance; on budget
-// exhaustion the tags merged so far form a flagged partial SUMY.
-func UnionSumyCtx(ctx context.Context, name string, a, b *Sumy, lim exec.Limits) (*Sumy, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var out *Sumy
-	var partial bool
-	err := exec.Guard("core.UnionSumy", name, func() error {
-		var err error
-		out, partial, err = UnionSumyWith(c, name, a, b)
-		return err
-	})
-	if err != nil {
-		out = nil
-	}
-	return out, c.Snapshot(partial), err
-}
-
-// UnionSumyWith is the metered implementation; one work unit is one tag
-// of a copied or one tag of b probed against a.
+// UnionSumyWith concatenates a with the b-only tags (a's values win on
+// common tags; extra columns from a). One work unit is one tag of a
+// copied or one tag of b probed against a; on budget exhaustion the tags
+// merged so far form a flagged partial SUMY.
 func UnionSumyWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Sumy, partial bool, err error) {
 	sp := c.StartSpan("core.UnionSumy")
 	sp.SetInput("%s (%d rows) union %s (%d rows)", a.Name, len(a.Rows), b.Name, len(b.Rows))

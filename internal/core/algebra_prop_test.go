@@ -105,7 +105,9 @@ func randSumy(t *testing.T, rng *rand.Rand, d *sage.Dataset, name string) *Sumy 
 		t.Fatal(err)
 	}
 	return bothWorkers(t, "aggregate "+name, renderSumy, func(lim exec.Limits) (*Sumy, error) {
-		s, _, err := AggregateCtx(context.Background(), name, e, AggregateOptions{}, lim)
+		s, _, err := exec.Run(context.Background(), lim, "core.Aggregate", name, func(c *exec.Ctl) (*Sumy, bool, error) {
+			return AggregateWith(c, name, e, AggregateOptions{})
+		})
 		return s, err
 	})
 }
@@ -132,17 +134,19 @@ func TestAlgebraPropSumySetLaws(t *testing.T) {
 			b := randSumy(t, rng, d, "b")
 			c := randSumy(t, rng, d, "c")
 
-			op := func(kind string, f func(ctx context.Context, name string, x, y *Sumy, lim exec.Limits) (*Sumy, exec.Trace, error)) func(name string, x, y *Sumy) *Sumy {
+			op := func(kind string, f func(ctl *exec.Ctl, name string, x, y *Sumy) (*Sumy, bool, error)) func(name string, x, y *Sumy) *Sumy {
 				return func(name string, x, y *Sumy) *Sumy {
 					return bothWorkers(t, kind+" "+name, renderSumy, func(lim exec.Limits) (*Sumy, error) {
-						s, _, err := f(context.Background(), name, x, y, lim)
+						s, _, err := exec.Run(context.Background(), lim, "core."+kind, name, func(ctl *exec.Ctl) (*Sumy, bool, error) {
+							return f(ctl, name, x, y)
+						})
 						return s, err
 					})
 				}
 			}
-			union := op("union", UnionSumyCtx)
-			inter := op("intersect", IntersectSumyCtx)
-			minus := op("minus", MinusSumyCtx)
+			union := op("union", UnionSumyWith)
+			inter := op("intersect", IntersectSumyWith)
+			minus := op("minus", MinusSumyWith)
 
 			// Idempotence. Both operators keep a's rows verbatim, so the
 			// whole rendering must match, not just the tag set.
@@ -209,7 +213,9 @@ func TestAlgebraPropMinePopulate(t *testing.T) {
 				return out
 			}
 			rs := bothWorkers(t, "mine", renderResults, func(lim exec.Limits) ([]MineResult, error) {
-				rs, _, err := MineCtx(context.Background(), "prop", d, p, GreedyAlgorithm, lim)
+				rs, _, err := exec.Run(context.Background(), lim, "core.Mine", "prop", func(c *exec.Ctl) ([]MineResult, bool, error) {
+					return MineWith(c, "prop", d, p, GreedyAlgorithm)
+				})
 				return rs, err
 			})
 			if len(rs) == 0 {
@@ -234,7 +240,10 @@ func TestAlgebraPropMinePopulate(t *testing.T) {
 					e2 := bothWorkers(t, "re-populate "+r.Sumy.Name+" "+name,
 						func(e *Enum) []string { return []string{fmt.Sprint(e.Rows)} },
 						func(lim exec.Limits) (*Enum, error) {
-							e, _, _, err := PopulateCtx(context.Background(), r.Sumy.Name+"_re", r.Sumy, d, tagIdx, PopulateOptions{}, lim)
+							e, _, err := exec.Run(context.Background(), lim, "core.Populate", r.Sumy.Name+"_re", func(c *exec.Ctl) (*Enum, bool, error) {
+								e, _, partial, err := PopulateWith(c, r.Sumy.Name+"_re", r.Sumy, d, tagIdx, PopulateOptions{})
+								return e, partial, err
+							})
 							return e, err
 						})
 					if fmt.Sprint(e2.Rows) != fmt.Sprint(r.Enum.Rows) {
@@ -264,7 +273,9 @@ func TestAlgebraPropDiffSelfIsNull(t *testing.T) {
 			d := propDataset(t, seed)
 			s := randSumy(t, rand.New(rand.NewSource(seed*31)), d, "self")
 			g := bothWorkers(t, "diff(s,s)", renderGap, func(lim exec.Limits) (*Gap, error) {
-				g, _, err := DiffCtx(context.Background(), "selfGap", s, s, lim)
+				g, _, err := exec.Run(context.Background(), lim, "core.Diff", "selfGap", func(c *exec.Ctl) (*Gap, bool, error) {
+					return DiffWith(c, "selfGap", s, s)
+				})
 				return g, err
 			})
 			if len(g.Rows) != len(s.Rows) {
@@ -298,7 +309,9 @@ func TestAlgebraPropSelectionIdentity(t *testing.T) {
 			s := randSumy(t, rand.New(rand.NewSource(seed*131)), d, "sel")
 
 			kept := bothWorkers(t, "select always-true", renderSumy, func(lim exec.Limits) (*Sumy, error) {
-				out, _, err := SelectSumyCtx(context.Background(), "selAll", s, func(SumyRow) bool { return true }, lim)
+				out, _, err := exec.Run(context.Background(), lim, "core.SelectSumy", "selAll", func(c *exec.Ctl) (*Sumy, bool, error) {
+					return SelectSumyWith(c, "selAll", s, func(SumyRow) bool { return true })
+				})
 				return out, err
 			})
 			if a, b := strings.Join(renderSumy(s), "\n"), strings.Join(renderSumy(kept), "\n"); a != b {
@@ -307,8 +320,9 @@ func TestAlgebraPropSelectionIdentity(t *testing.T) {
 
 			first, last := s.Rows[0].Tag, s.Rows[len(s.Rows)-1].Tag
 			rows := bothWorkers(t, "range search always-true", renderRows, func(lim exec.Limits) ([]RangeSearchRow, error) {
-				rows, _, err := RangeSearchCtx(context.Background(), []*Sumy{s}, first, last,
-					func(interval.Interval) bool { return true }, lim)
+				rows, _, err := exec.Run(context.Background(), lim, "core.RangeSearch", "", func(c *exec.Ctl) ([]RangeSearchRow, bool, error) {
+					return RangeSearchWith(c, []*Sumy{s}, first, last, func(interval.Interval) bool { return true })
+				})
 				return rows, err
 			})
 			if len(rows) != len(s.Rows) {

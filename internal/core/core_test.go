@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gea/internal/clean"
+	"gea/internal/exec"
 	"gea/internal/fascicle"
 	"gea/internal/interval"
 	"gea/internal/sage"
@@ -145,7 +146,7 @@ func TestAggregate(t *testing.T) {
 	d := smallDataset()
 	cancer := FullEnum("SAGE", d).SelectRows("cancer",
 		func(m sage.LibraryMeta) bool { return m.Tissue == "brain" && m.State == sage.Cancer })
-	s, err := Aggregate("s", cancer, AggregateOptions{WithMedian: true})
+	s, _, err := AggregateWith(exec.Background(), "s", cancer, AggregateOptions{WithMedian: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,20 +172,20 @@ func TestAggregate(t *testing.T) {
 	}
 
 	empty := cancer.SelectRows("none", func(sage.LibraryMeta) bool { return false })
-	if _, err := Aggregate("s", empty, AggregateOptions{}); err == nil {
+	if _, _, err := AggregateWith(exec.Background(), "s", empty, AggregateOptions{}); err == nil {
 		t.Error("aggregate of empty enum: expected error")
 	}
 }
 
 func TestSelectSumyRangeArithmetic(t *testing.T) {
 	d := smallDataset()
-	s, err := Aggregate("s", FullEnum("SAGE", d), AggregateOptions{})
+	s, _, err := AggregateWith(exec.Background(), "s", FullEnum("SAGE", d), AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tags whose range overlaps (broadly) [80, 500]: signature (0..205),
 	// GGGG (0..90), TTTT (0..400).
-	hits, err := SelectSumy("hits", s, RangeAnyOverlap(interval.New(80, 500)))
+	hits, _, err := SelectSumyWith(exec.Background(), "hits", s, RangeAnyOverlap(interval.New(80, 500)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSelectSumyRangeArithmetic(t *testing.T) {
 	}
 	// Strict Allen relation: tags whose range includes [1, 2]. Three tags
 	// have ranges [0, hi] with hi > 2; the flat tag's range is [9, 11].
-	inc, err := SelectSumy("inc", s, RangeRelation(interval.Includes, interval.New(1, 2)))
+	inc, _, err := SelectSumyWith(exec.Background(), "inc", s, RangeRelation(interval.Includes, interval.New(1, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +206,18 @@ func TestSelectSumyRangeArithmetic(t *testing.T) {
 func TestProjectSumyAndSetOps(t *testing.T) {
 	d := smallDataset()
 	e := FullEnum("SAGE", d)
-	s, err := Aggregate("s", e, AggregateOptions{WithMedian: true})
+	s, _, err := AggregateWith(exec.Background(), "s", e, AggregateOptions{WithMedian: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ProjectSumy("p", s)
+	p, _, err := ProjectSumyWith(exec.Background(), "p", s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.ExtraCols) != 0 || p.Rows[0].Extra != nil {
 		t.Error("projection kept extra columns")
 	}
-	pm, err := ProjectSumy("pm", s, "median")
+	pm, _, err := ProjectSumyWith(exec.Background(), "pm", s, []string{"median"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,21 +228,21 @@ func TestProjectSumyAndSetOps(t *testing.T) {
 	s2 := NewSumy("s2", []SumyRow{
 		{Tag: d.Tags[0], Range: interval.New(0, 1), Mean: 0.5, Std: 0.1},
 	}, nil)
-	minus, err := MinusSumy("m", s, s2)
+	minus, _, err := MinusSumyWith(exec.Background(), "m", s, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if minus.Len() != 3 {
 		t.Errorf("sumy minus = %d", minus.Len())
 	}
-	inter, err := IntersectSumy("i", s, s2)
+	inter, _, err := IntersectSumyWith(exec.Background(), "i", s, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inter.Len() != 1 || inter.Rows[0].Mean == 0.5 {
 		t.Errorf("sumy intersect = %+v (must keep a's aggregates)", inter.Rows)
 	}
-	un, err := UnionSumy("u", minus, s2)
+	un, _, err := UnionSumyWith(exec.Background(), "u", minus, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +255,11 @@ func TestPopulateSequential(t *testing.T) {
 	d := smallDataset()
 	cancer := FullEnum("SAGE", d).SelectRows("cancer",
 		func(m sage.LibraryMeta) bool { return m.Tissue == "brain" && m.State == sage.Cancer })
-	s, err := Aggregate("s", cancer, AggregateOptions{})
+	s, _, err := AggregateWith(exec.Background(), "s", cancer, AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, st, err := Populate("e", s, d, nil)
+	e, st, _, err := PopulateWith(exec.Background(), "e", s, d, nil, PopulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,12 +300,12 @@ func TestPopulateIndexedMatchesSequential(t *testing.T) {
 		cols[j] = j
 	}
 	e.Cols = cols
-	s, err := Aggregate("s", e, AggregateOptions{})
+	s, _, err := AggregateWith(exec.Background(), "s", e, AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	seq, seqSt, err := Populate("seq", s, d, nil)
+	seq, seqSt, _, err := PopulateWith(exec.Background(), "seq", s, d, nil, PopulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestPopulateIndexedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, indSt, err := Populate("ind", s, d, idx)
+	ind, indSt, _, err := PopulateWith(exec.Background(), "ind", s, d, idx, PopulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestPopulateIndexedMatchesSequential(t *testing.T) {
 func TestPopulateErrors(t *testing.T) {
 	d := smallDataset()
 	empty := NewSumy("empty", nil, nil)
-	if _, _, err := Populate("e", empty, d, nil); err == nil {
+	if _, _, _, err := PopulateWith(exec.Background(), "e", empty, d, nil, PopulateOptions{}); err == nil {
 		t.Error("empty sumy: expected error")
 	}
 	s := NewSumy("s", []SumyRow{{Tag: d.Tags[0], Range: interval.New(0, 1)}}, nil)
@@ -343,7 +344,7 @@ func TestPopulateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Populate("e", s, d, otherIdx); err == nil {
+	if _, _, _, err := PopulateWith(exec.Background(), "e", s, d, otherIdx, PopulateOptions{}); err == nil {
 		t.Error("foreign indexes: expected error")
 	}
 	if _, err := BuildTagIndexes(d, []int{99}); err == nil {
@@ -356,7 +357,7 @@ func TestPopulateMissingTagTreatedAsZero(t *testing.T) {
 	foreign := sage.MustParseTag("ACACACACAC")
 	// Range includes 0: all rows match.
 	s := NewSumy("s", []SumyRow{{Tag: foreign, Range: interval.New(0, 5)}}, nil)
-	e, _, err := Populate("e", s, d, nil)
+	e, _, _, err := PopulateWith(exec.Background(), "e", s, d, nil, PopulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestPopulateMissingTagTreatedAsZero(t *testing.T) {
 	}
 	// Range excludes 0: no rows match.
 	s2 := NewSumy("s2", []SumyRow{{Tag: foreign, Range: interval.New(1, 5)}}, nil)
-	e2, _, err := Populate("e2", s2, d, nil)
+	e2, _, _, err := PopulateWith(exec.Background(), "e2", s2, d, nil, PopulateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestMineLatticePopulateClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Mine("brain", brain, fascicle.Params{
+	results, _, err := MineWith(exec.Background(), "brain", brain, fascicle.Params{
 		K: brain.NumTags() * 55 / 100, Tolerance: tol, MinSize: 3,
 	}, LatticeAlgorithm)
 	if err != nil {
@@ -437,7 +438,7 @@ func TestMineGreedy(t *testing.T) {
 		}
 		tol[tg] = (hi - lo) * 0.2
 	}
-	results, err := Mine("small", d, fascicle.Params{K: 3, Tolerance: tol, MinSize: 2}, GreedyAlgorithm)
+	results, _, err := MineWith(exec.Background(), "small", d, fascicle.Params{K: 3, Tolerance: tol, MinSize: 2}, GreedyAlgorithm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +454,7 @@ func TestMineGreedy(t *testing.T) {
 
 func TestMineInvalidParams(t *testing.T) {
 	d := smallDataset()
-	if _, err := Mine("x", d, fascicle.Params{K: 0, MinSize: 1}, LatticeAlgorithm); err == nil {
+	if _, _, err := MineWith(exec.Background(), "x", d, fascicle.Params{K: 0, MinSize: 1}, LatticeAlgorithm); err == nil {
 		t.Error("invalid params: expected error")
 	}
 }

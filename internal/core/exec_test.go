@@ -22,7 +22,7 @@ func execFixture(t *testing.T) (d *sage.Dataset, cancer, normal *Sumy, idx *TagI
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Aggregate(name, e, AggregateOptions{})
+		s, _, err := AggregateWith(exec.Background(), name, e, AggregateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,10 @@ func TestPopulateCheckpointWalk(t *testing.T) {
 		execwalk.Walk(t, execwalk.Target{
 			Name: tc.name,
 			Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-				_, _, tr, err := PopulateCtx(ctx, "walkEnum", cancer, d, tc.idx, PopulateOptions{}, lim)
+				_, tr, err := exec.Run(ctx, lim, "core.Populate", "walkEnum", func(c *exec.Ctl) (*Enum, bool, error) {
+					e, _, partial, err := PopulateWith(c, "walkEnum", cancer, d, tc.idx, PopulateOptions{})
+					return e, partial, err
+				})
 				return tr, err
 			},
 			MaxUnitStep: 1,
@@ -64,7 +67,9 @@ func TestAggregateCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "Aggregate",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := AggregateCtx(ctx, "walkSumy", e, AggregateOptions{WithMedian: true}, lim)
+			_, tr, err := exec.Run(ctx, lim, "core.Aggregate", "walkSumy", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return AggregateWith(c, "walkSumy", e, AggregateOptions{WithMedian: true})
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -76,7 +81,9 @@ func TestDiffCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "Diff",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := DiffCtx(ctx, "walkGap", cancer, normal, lim)
+			_, tr, err := exec.Run(ctx, lim, "core.Diff", "walkGap", func(c *exec.Ctl) (*Gap, bool, error) {
+				return DiffWith(c, "walkGap", cancer, normal)
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -90,8 +97,9 @@ func TestRangeSearchCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "RangeSearch",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := RangeSearchCtx(ctx, []*Sumy{cancer, normal}, first, last,
-				BroadOverlap(interval.Interval{Min: 0, Max: 1000}), lim)
+			_, tr, err := exec.Run(ctx, lim, "core.RangeSearch", "", func(c *exec.Ctl) ([]RangeSearchRow, bool, error) {
+				return RangeSearchWith(c, []*Sumy{cancer, normal}, first, last, BroadOverlap(interval.Interval{Min: 0, Max: 1000}))
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -119,7 +127,9 @@ func TestMineCheckpointWalk(t *testing.T) {
 		execwalk.Walk(t, execwalk.Target{
 			Name: tc.name,
 			Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-				_, tr, err := MineCtx(ctx, "walk", d, p, tc.alg, lim)
+				_, tr, err := exec.Run(ctx, lim, "core.Mine", "walk", func(c *exec.Ctl) ([]MineResult, bool, error) {
+					return MineWith(c, "walk", d, p, tc.alg)
+				})
 				return tr, err
 			},
 			MaxUnitStep: 1,
@@ -133,12 +143,14 @@ func TestMineCheckpointWalk(t *testing.T) {
 func TestMinePartialResultsAreComplete(t *testing.T) {
 	d := smallDataset()
 	p := mineParams(d)
-	full, err := Mine("walk", d, p, LatticeAlgorithm)
+	full, _, err := MineWith(exec.Background(), "walk", d, p, LatticeAlgorithm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for budget := int64(1); budget < 200; budget += 13 {
-		rs, tr, err := MineCtx(context.Background(), "walk", d, p, LatticeAlgorithm, exec.Limits{Budget: budget})
+		rs, tr, err := exec.Run(context.Background(), exec.Limits{Budget: budget}, "core.Mine", "walk", func(c *exec.Ctl) ([]MineResult, bool, error) {
+			return MineWith(c, "walk", d, p, LatticeAlgorithm)
+		})
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -184,7 +196,10 @@ func TestShardEquivPopulate(t *testing.T) {
 		Name: "Populate",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			e, _, tr, err := PopulateCtx(ctx, "shardEnum", allPass, d, nil, PopulateOptions{}, lim)
+			e, tr, err := exec.Run(ctx, lim, "core.Populate", "shardEnum", func(c *exec.Ctl) (*Enum, bool, error) {
+				e, _, partial, err := PopulateWith(c, "shardEnum", allPass, d, nil, PopulateOptions{})
+				return e, partial, err
+			})
 			if err != nil {
 				return nil, tr, err
 			}
@@ -204,7 +219,9 @@ func TestShardEquivAggregate(t *testing.T) {
 		Name: "Aggregate",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			s, tr, err := AggregateCtx(ctx, "shardSumy", e, AggregateOptions{WithMedian: true}, lim)
+			s, tr, err := exec.Run(ctx, lim, "core.Aggregate", "shardSumy", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return AggregateWith(c, "shardSumy", e, AggregateOptions{WithMedian: true})
+			})
 			if err != nil {
 				return nil, tr, err
 			}
@@ -221,7 +238,9 @@ func TestShardEquivDiff(t *testing.T) {
 		Name: "Diff",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			g, tr, err := DiffCtx(ctx, "shardGap", cancer, normal, lim)
+			g, tr, err := exec.Run(ctx, lim, "core.Diff", "shardGap", func(c *exec.Ctl) (*Gap, bool, error) {
+				return DiffWith(c, "shardGap", cancer, normal)
+			})
 			if err != nil {
 				return nil, tr, err
 			}
@@ -243,7 +262,9 @@ func TestShardEquivRangeSearch(t *testing.T) {
 		Name: "RangeSearch",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			rows, tr, err := RangeSearchCtx(ctx, []*Sumy{cancer, normal}, first, last, cond, lim)
+			rows, tr, err := exec.Run(ctx, lim, "core.RangeSearch", "", func(c *exec.Ctl) ([]RangeSearchRow, bool, error) {
+				return RangeSearchWith(c, []*Sumy{cancer, normal}, first, last, cond)
+			})
 			if err != nil {
 				return nil, tr, err
 			}
@@ -270,7 +291,9 @@ func TestShardEquivSelectSumy(t *testing.T) {
 		Name: "SelectSumy",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			s, tr, err := SelectSumyCtx(ctx, "shardSel", cancer, keepAll, lim)
+			s, tr, err := exec.Run(ctx, lim, "core.SelectSumy", "shardSel", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return SelectSumyWith(c, "shardSel", cancer, keepAll)
+			})
 			if err != nil {
 				return nil, tr, err
 			}
@@ -292,7 +315,9 @@ func TestShardEquivUnionSumy(t *testing.T) {
 		Name: "UnionSumy",
 		Run: func(ctx context.Context, workers int, lim exec.Limits) ([]string, exec.Trace, error) {
 			lim.Workers = workers
-			s, tr, err := UnionSumyCtx(ctx, "shardUnion", a, b, lim)
+			s, tr, err := exec.Run(ctx, lim, "core.UnionSumy", "shardUnion", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return UnionSumyWith(c, "shardUnion", a, b)
+			})
 			if err != nil {
 				return nil, tr, err
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -11,8 +10,8 @@ import (
 	"gea/internal/exec/shard"
 )
 
-// Diff takes two SUMY tables and produces a GAP table over their common tags
-// (the diff() operator of Section 3.2.2). For each common tag,
+// DiffWith takes two SUMY tables and produces a GAP table over their
+// common tags (the diff() operator of Section 3.2.2). For each common tag,
 //
 //	gap = (mu_hi - sigma_hi) - (mu_lo + sigma_lo)
 //
@@ -20,34 +19,13 @@ import (
 // mu+sigma) bands overlap — the quantity is not positive — the gap level is
 // NULL (Figure 3.4). Otherwise the sign is positive when the *first* table
 // has the higher mean and negative when it has the lower (Figure 3.5).
-func Diff(name string, a, b *Sumy) (*Gap, error) {
-	g, _, err := DiffWith(exec.Background(), name, a, b)
-	return g, err
-}
-
-// DiffCtx is Diff under execution governance; on budget exhaustion the
-// tags differenced so far form a flagged partial GAP.
-func DiffCtx(ctx context.Context, name string, a, b *Sumy, lim exec.Limits) (*Gap, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var g *Gap
-	var partial bool
-	err := exec.Guard("core.Diff", name, func() error {
-		var err error
-		g, partial, err = DiffWith(c, name, a, b)
-		return err
-	})
-	if err != nil {
-		g = nil
-	}
-	return g, c.Snapshot(partial), err
-}
-
-// DiffWith is the metered implementation; one work unit is one tag of
-// the first SUMY table examined. Both tables are in tag order, so the
-// per-tag join is a merge: each shard finds its start in b with one
-// binary search and walks both tables forward. The joins evaluate
-// through the shard substrate, so the result is bit-identical at any
-// worker count.
+//
+// One work unit is one tag of the first SUMY table examined; on budget
+// exhaustion the tags differenced so far form a flagged partial GAP. Both
+// tables are in tag order, so the per-tag join is a merge: each shard
+// finds its start in b with one binary search and walks both tables
+// forward. The joins evaluate through the shard substrate, so the result
+// is bit-identical at any worker count.
 func DiffWith(c *exec.Ctl, name string, a, b *Sumy) (_ *Gap, partial bool, err error) {
 	sp := c.StartSpan("core.Diff")
 	sp.SetInput("%s (%d rows) vs %s (%d rows)", a.Name, len(a.Rows), b.Name, len(b.Rows))

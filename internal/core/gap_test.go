@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gea/internal/exec"
 	"gea/internal/interval"
 	"gea/internal/sage"
 )
@@ -33,7 +34,7 @@ func figure35Sumys() (*Sumy, *Sumy) {
 // GAP = diff(SUMY1, SUMY2) has rows Tag1 = -1, Tag3 = NULL, Tag4 = +2.
 func TestDiffFigure35(t *testing.T) {
 	s1, s2 := figure35Sumys()
-	g, err := Diff("GAP", s1, s2)
+	g, _, err := DiffWith(exec.Background(), "GAP", s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestDiffFigure35(t *testing.T) {
 // TestDiffAntisymmetric: diff(a,b) = -diff(b,a) with NULLs preserved.
 func TestDiffAntisymmetric(t *testing.T) {
 	s1, s2 := figure35Sumys()
-	g1, err := Diff("g1", s1, s2)
+	g1, _, err := DiffWith(exec.Background(), "g1", s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Diff("g2", s2, s1)
+	g2, _, err := DiffWith(exec.Background(), "g2", s2, s1)
 	if err != nil {
 		t.Fatal(err)
 	}

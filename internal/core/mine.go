@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"gea/internal/exec"
@@ -9,7 +8,7 @@ import (
 	"gea/internal/sage"
 )
 
-// Algorithm selects the fascicle miner backing Mine().
+// Algorithm selects the fascicle miner backing MineWith.
 type Algorithm int
 
 // Mining algorithms.
@@ -38,38 +37,16 @@ type MineResult struct {
 	Enum     *Enum
 }
 
-// Mine runs fascicle production over the dataset — the mine() operator of
-// Figure 3.1 — and converts each fascicle to its SUMY (definition) and ENUM
-// (enumeration via populate) forms. Result names are prefix_1, prefix_2, ...
-// in the miner's report order, mirroring the brain35k_1... naming of the
-// case studies.
-func Mine(prefix string, d *sage.Dataset, p fascicle.Params, alg Algorithm) ([]MineResult, error) {
-	rs, _, err := MineWith(exec.Background(), prefix, d, p, alg)
-	return rs, err
-}
-
-// MineCtx is Mine under execution governance. The whole macro operation
-// — mining plus the per-fascicle aggregate and populate conversions —
-// shares one budget; when it expires, the fully converted results so
-// far are returned with Trace.Partial set (half-converted fascicles are
-// dropped, never emitted).
-func MineCtx(ctx context.Context, prefix string, d *sage.Dataset, p fascicle.Params, alg Algorithm, lim exec.Limits) ([]MineResult, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var rs []MineResult
-	var partial bool
-	err := exec.Guard("core.Mine", prefix, func() error {
-		var err error
-		rs, partial, err = MineWith(c, prefix, d, p, alg)
-		return err
-	})
-	if err != nil {
-		rs = nil
-	}
-	return rs, c.Snapshot(partial), err
-}
-
-// MineWith is the metered implementation, sharing c across the miner
-// and each fascicle's SUMY/ENUM conversion.
+// MineWith runs fascicle production over the dataset — the mine() operator
+// of Figure 3.1 — and converts each fascicle to its SUMY (definition) and
+// ENUM (enumeration via populate) forms. Result names are prefix_1,
+// prefix_2, ... in the miner's report order, mirroring the brain35k_1...
+// naming of the case studies.
+//
+// The whole macro operation — mining plus the per-fascicle aggregate and
+// populate conversions — shares c and so one budget; when it expires, the
+// fully converted results so far are returned flagged partial
+// (half-converted fascicles are dropped, never emitted).
 func MineWith(c *exec.Ctl, prefix string, d *sage.Dataset, p fascicle.Params, alg Algorithm) (_ []MineResult, partial bool, err error) {
 	sp := c.StartSpan("core.Mine")
 	sp.SetInput("dataset: %d libraries x %d tags, alg=%v", d.NumLibraries(), d.NumTags(), alg)

@@ -25,7 +25,9 @@ func BenchmarkAggregate(b *testing.B) {
 	run := func(b *testing.B, ctx context.Context) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := AggregateCtx(ctx, "benchSumy", e, AggregateOptions{}, exec.Limits{}); err != nil {
+			if _, _, err := exec.Run(ctx, exec.Limits{}, "core.Aggregate", "benchSumy", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return AggregateWith(c, "benchSumy", e, AggregateOptions{})
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -49,7 +49,10 @@ func TestSpanInvariantPopulate(t *testing.T) {
 		{"Populate/indexed", idx},
 	} {
 		spanWalk(t, tc.name, "core.Populate", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, _, tr, err := PopulateCtx(ctx, "spanEnum", cancer, d, tc.idx, PopulateOptions{}, lim)
+			_, tr, err := exec.Run(ctx, lim, "core.Populate", "spanEnum", func(c *exec.Ctl) (*Enum, bool, error) {
+				e, _, partial, err := PopulateWith(c, "spanEnum", cancer, d, tc.idx, PopulateOptions{})
+				return e, partial, err
+			})
 			return tr, err
 		})
 	}
@@ -59,7 +62,9 @@ func TestSpanInvariantAggregate(t *testing.T) {
 	d := smallDataset()
 	e := FullEnum("SAGE", d)
 	spanWalk(t, "Aggregate", "core.Aggregate", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-		_, tr, err := AggregateCtx(ctx, "spanSumy", e, AggregateOptions{WithMedian: true}, lim)
+		_, tr, err := exec.Run(ctx, lim, "core.Aggregate", "spanSumy", func(c *exec.Ctl) (*Sumy, bool, error) {
+			return AggregateWith(c, "spanSumy", e, AggregateOptions{WithMedian: true})
+		})
 		return tr, err
 	})
 }
@@ -67,7 +72,9 @@ func TestSpanInvariantAggregate(t *testing.T) {
 func TestSpanInvariantDiff(t *testing.T) {
 	_, cancer, normal, _ := execFixture(t)
 	spanWalk(t, "Diff", "core.Diff", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-		_, tr, err := DiffCtx(ctx, "spanGap", cancer, normal, lim)
+		_, tr, err := exec.Run(ctx, lim, "core.Diff", "spanGap", func(c *exec.Ctl) (*Gap, bool, error) {
+			return DiffWith(c, "spanGap", cancer, normal)
+		})
 		return tr, err
 	})
 }
@@ -77,8 +84,9 @@ func TestSpanInvariantRangeSearch(t *testing.T) {
 	first := sage.MustParseTag("AAAAAAAAAA")
 	last := sage.MustParseTag("TTTTTTTTTT")
 	spanWalk(t, "RangeSearch", "core.RangeSearch", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-		_, tr, err := RangeSearchCtx(ctx, []*Sumy{cancer, normal}, first, last,
-			BroadOverlap(interval.Interval{Min: 0, Max: 1000}), lim)
+		_, tr, err := exec.Run(ctx, lim, "core.RangeSearch", "", func(c *exec.Ctl) ([]RangeSearchRow, bool, error) {
+			return RangeSearchWith(c, []*Sumy{cancer, normal}, first, last, BroadOverlap(interval.Interval{Min: 0, Max: 1000}))
+		})
 		return tr, err
 	})
 }
@@ -90,7 +98,9 @@ func TestSpanInvariantMine(t *testing.T) {
 	d := smallDataset()
 	p := mineParams(d)
 	spanWalk(t, "Mine", "core.Mine", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-		_, tr, err := MineCtx(ctx, "span", d, p, LatticeAlgorithm, lim)
+		_, tr, err := exec.Run(ctx, lim, "core.Mine", "span", func(c *exec.Ctl) ([]MineResult, bool, error) {
+			return MineWith(c, "span", d, p, LatticeAlgorithm)
+		})
 		return tr, err
 	})
 }
@@ -106,19 +116,27 @@ func TestSpanInvariantSumySetOps(t *testing.T) {
 		run  func(ctx context.Context, lim exec.Limits) (exec.Trace, error)
 	}{
 		{"SelectSumy", "core.SelectSumy", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := SelectSumyCtx(ctx, "spanSel", cancer, keepAll, lim)
+			_, tr, err := exec.Run(ctx, lim, "core.SelectSumy", "spanSel", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return SelectSumyWith(c, "spanSel", cancer, keepAll)
+			})
 			return tr, err
 		}},
 		{"UnionSumy", "core.UnionSumy", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := UnionSumyCtx(ctx, "spanUnion", cancer, normal, lim)
+			_, tr, err := exec.Run(ctx, lim, "core.UnionSumy", "spanUnion", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return UnionSumyWith(c, "spanUnion", cancer, normal)
+			})
 			return tr, err
 		}},
 		{"IntersectSumy", "core.IntersectSumy", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := IntersectSumyCtx(ctx, "spanIntersect", cancer, normal, lim)
+			_, tr, err := exec.Run(ctx, lim, "core.IntersectSumy", "spanIntersect", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return IntersectSumyWith(c, "spanIntersect", cancer, normal)
+			})
 			return tr, err
 		}},
 		{"MinusSumy", "core.MinusSumy", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := MinusSumyCtx(ctx, "spanMinus", cancer, normal, lim)
+			_, tr, err := exec.Run(ctx, lim, "core.MinusSumy", "spanMinus", func(c *exec.Ctl) (*Sumy, bool, error) {
+				return MinusSumyWith(c, "spanMinus", cancer, normal)
+			})
 			return tr, err
 		}},
 	} {
@@ -131,12 +149,18 @@ func TestSpanInvariantSumySetOps(t *testing.T) {
 // identically and leave no run record behind.
 func TestSpanInvariantNoCollector(t *testing.T) {
 	d, cancer, _, _ := execFixture(t)
-	_, _, tr1, err := PopulateCtx(context.Background(), "plain", cancer, d, nil, PopulateOptions{}, exec.Limits{})
+	_, tr1, err := exec.Run(context.Background(), exec.Limits{}, "core.Populate", "plain", func(c *exec.Ctl) (*Enum, bool, error) {
+		e, _, partial, err := PopulateWith(c, "plain", cancer, d, nil, PopulateOptions{})
+		return e, partial, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	verified := execwalk.SpanVerified(t, "core.Populate", func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-		_, _, tr, err := PopulateCtx(ctx, "traced", cancer, d, nil, PopulateOptions{}, lim)
+		_, tr, err := exec.Run(ctx, lim, "core.Populate", "traced", func(c *exec.Ctl) (*Enum, bool, error) {
+			e, _, partial, err := PopulateWith(c, "traced", cancer, d, nil, PopulateOptions{})
+			return e, partial, err
+		})
 		return tr, err
 	})
 	tr2, err := verified(context.Background(), exec.Limits{})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -109,49 +108,20 @@ type popCond struct {
 	lo, hi float64
 }
 
-// Populate finds all libraries of the dataset satisfying every tag range of
-// the SUMY table — the populate() operator of Figure 3.1, converting a
-// cluster from intensional to extensional form. Tags of the SUMY table
-// absent from the dataset are treated as expression level 0.
+// PopulateWith finds all libraries of the dataset satisfying every tag
+// range of the SUMY table — the populate() operator of Figure 3.1,
+// converting a cluster from intensional to extensional form. Tags of the
+// SUMY table absent from the dataset are treated as expression level 0.
 //
 // When idx is non-nil, the conjunction is evaluated index-first: each SUMY
 // tag with an index contributes a candidate row set by range scan; the sets
 // are intersected (smallest first) and only the surviving candidates are
 // verified against the remaining conditions. With no index (or no hits) the
 // operator degrades to the sequential scan.
-func Populate(name string, s *Sumy, d *sage.Dataset, idx *TagIndexes) (*Enum, PopulateStats, error) {
-	return PopulateWithOptions(name, s, d, idx, PopulateOptions{})
-}
-
-// PopulateWithOptions is Populate with evaluation options.
-func PopulateWithOptions(name string, s *Sumy, d *sage.Dataset, idx *TagIndexes, opts PopulateOptions) (*Enum, PopulateStats, error) {
-	e, st, _, err := PopulateWith(exec.Background(), name, s, d, idx, opts)
-	return e, st, err
-}
-
-// PopulateCtx is Populate under execution governance: cancellation and
-// deadlines are observed at every checkpoint; on budget exhaustion the
-// rows verified so far become an explicitly flagged partial ENUM; a
-// panic is recovered into a structured *exec.ExecError.
-func PopulateCtx(ctx context.Context, name string, s *Sumy, d *sage.Dataset, idx *TagIndexes, opts PopulateOptions, lim exec.Limits) (*Enum, PopulateStats, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var e *Enum
-	var st PopulateStats
-	var partial bool
-	err := exec.Guard("core.Populate", name, func() error {
-		var err error
-		e, st, partial, err = PopulateWith(c, name, s, d, idx, opts)
-		return err
-	})
-	if err != nil {
-		e = nil
-	}
-	return e, st, c.Snapshot(partial), err
-}
-
-// PopulateWith is the metered implementation, exported so composite
-// operators share one Ctl. One work unit is one index range scan, one
-// candidate set intersected, or one candidate row verified.
+//
+// One work unit is one index range scan, one candidate set intersected,
+// or one candidate row verified; on budget exhaustion the rows verified
+// so far become an explicitly flagged partial ENUM.
 func PopulateWith(c *exec.Ctl, name string, s *Sumy, d *sage.Dataset, idx *TagIndexes, opts PopulateOptions) (_ *Enum, st PopulateStats, partial bool, err error) {
 	sp := c.StartSpan("core.Populate")
 	sp.SetInput("sumy %s: %d conditions over %d libraries, indexed=%v", s.Name, s.Len(), d.NumLibraries(), idx != nil)

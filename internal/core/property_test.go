@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gea/internal/exec"
 	"gea/internal/interval"
 	"gea/internal/sage"
 )
@@ -206,11 +207,11 @@ func TestPopulateAggregateClosure(t *testing.T) {
 			cols[j] = j
 		}
 		e.Cols = cols
-		s, err := Aggregate("s", e, AggregateOptions{})
+		s, _, err := AggregateWith(exec.Background(), "s", e, AggregateOptions{})
 		if err != nil {
 			return false
 		}
-		pop, _, err := Populate("p", s, d, nil)
+		pop, _, _, err := PopulateWith(exec.Background(), "p", s, d, nil, PopulateOptions{})
 		if err != nil {
 			return false
 		}
@@ -237,7 +238,7 @@ func TestAggregateMomentInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := randEnumDataset(rng)
 		e := FullEnum("e", d)
-		s, err := Aggregate("s", e, AggregateOptions{WithMedian: true})
+		s, _, err := AggregateWith(exec.Background(), "s", e, AggregateOptions{WithMedian: true})
 		if err != nil {
 			return false
 		}
@@ -302,7 +303,7 @@ func TestPopulateIndexedAgreesProperty(t *testing.T) {
 		if sub.Size() == 0 {
 			return true
 		}
-		s, err := Aggregate("s", sub, AggregateOptions{})
+		s, _, err := AggregateWith(exec.Background(), "s", sub, AggregateOptions{})
 		if err != nil {
 			return false
 		}
@@ -323,11 +324,11 @@ func TestPopulateIndexedAgreesProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seq, _, err := Populate("seq", s, d, nil)
+		seq, _, _, err := PopulateWith(exec.Background(), "seq", s, d, nil, PopulateOptions{})
 		if err != nil {
 			return false
 		}
-		ind, _, err := Populate("ind", s, d, idx)
+		ind, _, _, err := PopulateWith(exec.Background(), "ind", s, d, idx, PopulateOptions{})
 		if err != nil {
 			return false
 		}

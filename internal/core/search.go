@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -71,37 +70,17 @@ func BroadOverlap(query interval.Interval) RangeCondition {
 	return func(r interval.Interval) bool { return interval.AnyOverlap(r, query) }
 }
 
-// RangeSearch checks, for each tag in [firstTag, lastTag], whether its range
-// in each SUMY table satisfies the condition — the Figure 4.16 search. Tags
-// outside every table are omitted.
-func RangeSearch(sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition) ([]RangeSearchRow, error) {
-	rows, _, err := RangeSearchWith(exec.Background(), sumys, firstTag, lastTag, cond)
-	return rows, err
-}
-
-// RangeSearchCtx is RangeSearch under execution governance; on budget
-// exhaustion the tags examined so far form a flagged partial report.
-func RangeSearchCtx(ctx context.Context, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition, lim exec.Limits) ([]RangeSearchRow, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var rows []RangeSearchRow
-	var partial bool
-	err := exec.Guard("core.RangeSearch", "", func() error {
-		var err error
-		rows, partial, err = RangeSearchWith(c, sumys, firstTag, lastTag, cond)
-		return err
-	})
-	if err != nil {
-		rows = nil
-	}
-	return rows, c.Snapshot(partial), err
-}
-
-// RangeSearchWith is the metered implementation; one work unit is one
-// SUMY row scanned during tag collection or one candidate tag checked.
-// Both phases evaluate through the shard substrate: collection marks
-// per-row hits and checking fills per-tag rows, each worker touching
-// only its own slots, so the report is bit-identical at any worker
-// count. The condition must be a pure function of its interval.
+// RangeSearchWith checks, for each tag in [firstTag, lastTag], whether its
+// range in each SUMY table satisfies the condition — the Figure 4.16
+// search. Tags outside every table are omitted.
+//
+// One work unit is one SUMY row scanned during tag collection or one
+// candidate tag checked; on budget exhaustion the tags examined so far
+// form a flagged partial report. Both phases evaluate through the shard
+// substrate: collection marks per-row hits and checking fills per-tag
+// rows, each worker touching only its own slots, so the report is
+// bit-identical at any worker count. The condition must be a pure
+// function of its interval.
 func RangeSearchWith(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition) (_ []RangeSearchRow, partial bool, err error) {
 	sp := c.StartSpan("core.RangeSearch")
 	sp.SetInput("%d sumy tables, tag range %v-%v", len(sumys), firstTag, lastTag)

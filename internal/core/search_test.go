@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"gea/internal/exec"
 	"gea/internal/interval"
 	"gea/internal/sage"
 )
@@ -21,7 +22,7 @@ func TestRangeSearchFigure416(t *testing.T) {
 		{Tag: a, Range: interval.New(15, 900), Mean: 200, Std: 80},
 	}, nil)
 
-	rows, err := RangeSearch([]*Sumy{s1, s2}, a, c, BroadOverlap(interval.New(10, 700)))
+	rows, _, err := RangeSearchWith(exec.Background(), []*Sumy{s1, s2}, a, c, BroadOverlap(interval.New(10, 700)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,17 +57,17 @@ func TestRangeSearchFigure416(t *testing.T) {
 
 func TestRangeSearchErrors(t *testing.T) {
 	s := NewSumy("s", nil, nil)
-	if _, err := RangeSearch(nil, 0, 1, BroadOverlap(interval.New(0, 1))); err == nil {
+	if _, _, err := RangeSearchWith(exec.Background(), nil, 0, 1, BroadOverlap(interval.New(0, 1))); err == nil {
 		t.Error("no sumys: expected error")
 	}
-	if _, err := RangeSearch([]*Sumy{s}, 5, 1, BroadOverlap(interval.New(0, 1))); err == nil {
+	if _, _, err := RangeSearchWith(exec.Background(), []*Sumy{s}, 5, 1, BroadOverlap(interval.New(0, 1))); err == nil {
 		t.Error("inverted tag range: expected error")
 	}
 }
 
 func TestAnyTagSearch(t *testing.T) {
 	d := smallDataset()
-	s, err := Aggregate("s", FullEnum("SAGE", d), AggregateOptions{})
+	s, _, err := AggregateWith(exec.Background(), "s", FullEnum("SAGE", d), AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,11 @@
 // projection, and tag-level set operations. The output of every operator can
 // be the input of another: that closure is what makes multi-step cluster
 // analysis expressible.
+//
+// Each metered operator has one form, XWith, which takes the *exec.Ctl
+// that meters it and reports whether a budget stop truncated its result.
+// Pass exec.Background() for an unbounded run, or wrap the call in
+// exec.Run to bound it by a context and exec.Limits.
 package core
 
 import (

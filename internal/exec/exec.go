@@ -139,8 +139,9 @@ func New(ctx context.Context, lim Limits) *Ctl {
 	return c
 }
 
-// Background returns an unbounded Ctl — what the legacy, non-context
-// operator entry points use so there is a single metered implementation.
+// Background returns an unbounded Ctl: no context, no budget, one
+// worker. Callers with no bound pass it to an operator's metered form
+// directly; bounded callers wrap that form in Run instead.
 func Background() *Ctl {
 	return New(context.Background(), Limits{})
 }
@@ -413,6 +414,27 @@ func Guard(op, node string, fn func() error) (err error) {
 		}
 	}
 	return err
+}
+
+// Run invokes one metered operator under governance: it builds the Ctl
+// from ctx and lim, runs fn panic-isolated under Guard(op, node, ...),
+// and returns the value with the run's Trace. On an error the value is
+// the zero R; on a budget stop it is fn's flagged partial value with a
+// nil error and Trace.Partial set.
+func Run[R any](ctx context.Context, lim Limits, op, node string, fn func(*Ctl) (R, bool, error)) (R, Trace, error) {
+	c := New(ctx, lim)
+	var res R
+	var partial bool
+	err := Guard(op, node, func() error {
+		var err error
+		res, partial, err = fn(c)
+		return err
+	})
+	if err != nil {
+		var zero R
+		res = zero
+	}
+	return res, c.Snapshot(partial), err
 }
 
 // IsCancellation reports whether err stems from context cancellation

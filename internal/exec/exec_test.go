@@ -180,3 +180,99 @@ func TestHookRunsBeforePoll(t *testing.T) {
 		t.Fatalf("cancel at checkpoint 3 observed after %d clean points, want 2", n)
 	}
 }
+
+// TestRun pins the governed-call contract every operator gets by
+// wrapping its metered form in Run.
+func TestRun(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	boom := errors.New("boom")
+	charge := func(n int) func(*Ctl) (int, bool, error) {
+		return func(c *Ctl) (int, bool, error) {
+			for i := 0; i < n; i++ {
+				if err := c.Point(1); err != nil {
+					if IsBudget(err) {
+						return i, true, nil
+					}
+					return i, false, err
+				}
+			}
+			return n, false, nil
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		lim   Limits
+		fn    func(*Ctl) (int, bool, error)
+		check func(t *testing.T, v int, tr Trace, err error)
+	}{
+		{"value and trace pass through", context.Background(), Limits{}, charge(3),
+			func(t *testing.T, v int, tr Trace, err error) {
+				if err != nil || v != 3 {
+					t.Fatalf("got (%d, %v), want (3, nil)", v, err)
+				}
+				if tr != (Trace{Units: 3, Checkpoints: 3}) {
+					t.Fatalf("trace = %+v, want 3 units / 3 checkpoints, not partial", tr)
+				}
+			}},
+		{"value zeroed on error", context.Background(), Limits{}, func(c *Ctl) (int, bool, error) {
+			_ = c.Point(1)
+			return 7, false, boom
+		}, func(t *testing.T, v int, tr Trace, err error) {
+			var ee *ExecError
+			if !errors.Is(err, boom) || errors.As(err, &ee) {
+				t.Fatalf("err = %v, want the operator's own error, unwrapped", err)
+			}
+			if v != 0 || tr.Units != 1 {
+				t.Fatalf("got value %d with trace %+v, want 0 with 1 unit", v, tr)
+			}
+		}},
+		{"panic becomes ExecError", context.Background(), Limits{}, func(c *Ctl) (int, bool, error) {
+			panic("kaboom")
+		}, func(t *testing.T, v int, tr Trace, err error) {
+			var ee *ExecError
+			if !errors.As(err, &ee) || ee.Op != "op.Run" || ee.Node != "node" || ee.PanicValue != "kaboom" {
+				t.Fatalf("err = %#v, want *ExecError{op.Run, node, kaboom}", err)
+			}
+			if v != 0 {
+				t.Fatalf("value %d survived a panic", v)
+			}
+		}},
+		{"cancellation wrapped once", canceled, Limits{}, charge(5),
+			func(t *testing.T, v int, tr Trace, err error) {
+				var ee *ExecError
+				if !errors.Is(err, context.Canceled) || !errors.As(err, &ee) || ee.Op != "op.Run" || ee.Node != "node" {
+					t.Fatalf("err = %v, want context.Canceled inside *ExecError{op.Run, node}", err)
+				}
+				if errors.As(ee.Err, new(*ExecError)) {
+					t.Fatalf("cancellation wrapped twice: %v", err)
+				}
+				if v != 0 || tr.Partial || tr.Reason != context.Canceled.Error() {
+					t.Fatalf("got value %d with trace %+v, want 0, not partial, reason %q", v, tr, context.Canceled)
+				}
+			}},
+		{"nested ExecError not wrapped again", context.Background(), Limits{}, func(c *Ctl) (int, bool, error) {
+			return 1, false, &ExecError{Op: "inner.Op", Err: context.DeadlineExceeded}
+		}, func(t *testing.T, v int, tr Trace, err error) {
+			var ee *ExecError
+			if !errors.As(err, &ee) || ee.Op != "inner.Op" || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want the nested *ExecError unchanged", err)
+			}
+		}},
+		{"budget stop returns flagged partial", context.Background(), Limits{Budget: 2}, charge(10),
+			func(t *testing.T, v int, tr Trace, err error) {
+				if err != nil || v != 1 {
+					t.Fatalf("got (%d, %v), want the 1-unit prefix with a nil error", v, err)
+				}
+				if !tr.Partial || tr.Units != 2 || !strings.Contains(tr.Reason, "budget") {
+					t.Fatalf("trace = %+v, want partial after 2 units, reason budget", tr)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, tr, err := Run(tc.ctx, tc.lim, "op.Run", "node", tc.fn)
+			tc.check(t, v, tr, err)
+		})
+	}
+}

@@ -20,7 +20,9 @@ func TestLatticeCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "Lattice",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := LatticeCtx(ctx, d, p, lim)
+			_, tr, err := exec.Run(ctx, lim, "fascicle.Lattice", "", func(c *exec.Ctl) ([]*Fascicle, bool, error) {
+				return LatticeWith(c, d, p)
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -33,7 +35,9 @@ func TestGreedyCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "Greedy",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := GreedyCtx(ctx, d, p, lim)
+			_, tr, err := exec.Run(ctx, lim, "fascicle.Greedy", "", func(c *exec.Ctl) ([]*Fascicle, bool, error) {
+				return GreedyWith(c, d, p)
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -46,7 +50,7 @@ func TestGreedyCheckpointWalk(t *testing.T) {
 func TestLatticePartialIsPrefix(t *testing.T) {
 	d := table22Dataset(t)
 	p := Params{K: 2, Tolerance: table22Tolerance(), MinSize: 2}
-	full, err := Lattice(d, p)
+	full, _, err := LatticeWith(exec.Background(), d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,9 @@ func TestLatticePartialIsPrefix(t *testing.T) {
 		return f.NumCompact() >= p.K && f.Size() >= p.MinSize
 	}
 	for budget := int64(1); budget < 60; budget += 7 {
-		fs, tr, err := LatticeCtx(context.Background(), d, p, exec.Limits{Budget: budget})
+		fs, tr, err := exec.Run(context.Background(), exec.Limits{Budget: budget}, "fascicle.Lattice", "", func(c *exec.Ctl) ([]*Fascicle, bool, error) {
+			return LatticeWith(c, d, p)
+		})
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}

@@ -7,18 +7,17 @@
 //
 // Two miners are provided:
 //
-//   - Lattice: an exact level-wise search over library subsets. Compactness
+//   - LatticeWith: an exact level-wise search over library subsets. Compactness
 //     is anti-monotone (adding a library can only widen a tag's range), so
 //     subsets that fall below k compact tags prune their supersets, exactly
 //     like infrequent itemsets in Apriori. It returns maximal fascicles.
-//   - Greedy: the single-pass batched heuristic in the spirit of the
+//   - GreedyWith: the single-pass batched heuristic in the spirit of the
 //     original paper's Phase 1, linear in the number of libraries and tags —
 //     the complexity the thesis quotes in Section 3.3.1 — at the cost of
 //     order sensitivity.
 package fascicle
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -171,38 +170,13 @@ type candidate struct {
 	max  []float64
 }
 
-// Lattice mines all maximal fascicles of d satisfying p exactly, by
+// LatticeWith mines all maximal fascicles of d satisfying p exactly, by
 // level-wise search with anti-monotone pruning.
-func Lattice(d *sage.Dataset, p Params) ([]*Fascicle, error) {
-	fs, _, err := LatticeWith(exec.Background(), d, p)
-	return fs, err
-}
-
-// LatticeCtx is Lattice under execution governance: it observes ctx
-// cancellation and deadlines at every checkpoint, stops at lim.Budget
-// work units with a flagged partial result, and converts panics into a
-// structured *exec.ExecError.
-func LatticeCtx(ctx context.Context, d *sage.Dataset, p Params, lim exec.Limits) ([]*Fascicle, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var fs []*Fascicle
-	var partial bool
-	err := exec.Guard("fascicle.Lattice", "", func() error {
-		var err error
-		fs, partial, err = LatticeWith(c, d, p)
-		return err
-	})
-	if err != nil {
-		fs = nil
-	}
-	return fs, c.Snapshot(partial), err
-}
-
-// LatticeWith is the metered implementation, exported so composite
-// operators (core.Mine, the System wrappers) can share one Ctl across
-// stages. One work unit is one singleton initialisation, one candidate
-// join attempt, or one subsumption scan. On budget exhaustion it
-// returns the fascicles confirmed so far plus the current level's
-// unsubsumed candidates, with partial = true.
+//
+// One work unit is one singleton initialisation, one candidate join
+// attempt, or one subsumption scan. On budget exhaustion it returns the
+// fascicles confirmed so far plus the current level's unsubsumed
+// candidates, with partial = true.
 func LatticeWith(c *exec.Ctl, d *sage.Dataset, p Params) (_ []*Fascicle, partial bool, err error) {
 	sp := c.StartSpan("fascicle.Lattice")
 	sp.SetInput("dataset: %d libraries x %d tags, k=%d", d.NumLibraries(), d.NumTags(), p.K)
@@ -399,34 +373,14 @@ func forEachDropOne(rows []int, fn func([]int)) {
 	}
 }
 
-// Greedy mines fascicles with a single pass over the libraries in batches of
-// p.BatchSize: each library joins the first existing cluster it keeps at or
-// above k compact tags, else seeds a new cluster. It is linear in libraries
-// and tags but order-dependent and not guaranteed maximal.
-func Greedy(d *sage.Dataset, p Params) ([]*Fascicle, error) {
-	fs, _, err := GreedyWith(exec.Background(), d, p)
-	return fs, err
-}
-
-// GreedyCtx is Greedy under execution governance; see LatticeCtx.
-func GreedyCtx(ctx context.Context, d *sage.Dataset, p Params, lim exec.Limits) ([]*Fascicle, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var fs []*Fascicle
-	var partial bool
-	err := exec.Guard("fascicle.Greedy", "", func() error {
-		var err error
-		fs, partial, err = GreedyWith(c, d, p)
-		return err
-	})
-	if err != nil {
-		fs = nil
-	}
-	return fs, c.Snapshot(partial), err
-}
-
-// GreedyWith is the metered implementation; one work unit is one
-// library folded into the running clustering. A budget stop returns the
-// clusters built from the libraries folded so far, flagged partial.
+// GreedyWith mines fascicles with a single pass over the libraries in
+// batches of p.BatchSize: each library joins the first existing cluster it
+// keeps at or above k compact tags, else seeds a new cluster. It is linear
+// in libraries and tags but order-dependent and not guaranteed maximal.
+//
+// One work unit is one library folded into the running clustering. A
+// budget stop returns the clusters built from the libraries folded so
+// far, flagged partial.
 func GreedyWith(c *exec.Ctl, d *sage.Dataset, p Params) (_ []*Fascicle, partial bool, err error) {
 	sp := c.StartSpan("fascicle.Greedy")
 	sp.SetInput("dataset: %d libraries x %d tags, k=%d", d.NumLibraries(), d.NumTags(), p.K)

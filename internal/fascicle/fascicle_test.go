@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gea/internal/clean"
+	"gea/internal/exec"
 	"gea/internal/sage"
 	"gea/internal/sagegen"
 )
@@ -67,7 +68,7 @@ func table22Tolerance() map[sage.TagID]float64 {
 // form a 5-D fascicle with all five tags compact.
 func TestFascicleTable22Example(t *testing.T) {
 	d := table22Dataset(t)
-	fs, err := Lattice(d, Params{K: 5, Tolerance: table22Tolerance(), MinSize: 3})
+	fs, _, err := LatticeWith(exec.Background(), d, Params{K: 5, Tolerance: table22Tolerance(), MinSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +124,10 @@ func TestValidateParams(t *testing.T) {
 	if err := (&Params{K: 2, MinSize: 3}).Validate(nil); err == nil {
 		t.Error("nil dataset: expected error")
 	}
-	if _, err := Lattice(d, Params{K: 0, MinSize: 1}); err == nil {
+	if _, _, err := LatticeWith(exec.Background(), d, Params{K: 0, MinSize: 1}); err == nil {
 		t.Error("Lattice(invalid): expected error")
 	}
-	if _, err := Greedy(d, Params{K: 0, MinSize: 1}); err == nil {
+	if _, _, err := GreedyWith(exec.Background(), d, Params{K: 0, MinSize: 1}); err == nil {
 		t.Error("Greedy(invalid): expected error")
 	}
 }
@@ -180,7 +181,7 @@ func TestLatticeInvariantsRandom(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomDataset(rng, 8, 30)
 		p := Params{K: 5 + rng.Intn(10), Tolerance: randomTolerance(rng, d), MinSize: 2}
-		fs, err := Lattice(d, p)
+		fs, _, err := LatticeWith(exec.Background(), d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestGreedyInvariantsRandom(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomDataset(rng, 10, 40)
 		p := Params{K: 5 + rng.Intn(10), Tolerance: randomTolerance(rng, d), MinSize: 2, BatchSize: 3}
-		fs, err := Greedy(d, p)
+		fs, _, err := GreedyWith(exec.Background(), d, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestLatticeFindsPlantedCore(t *testing.T) {
 	// slice, so a K of 55% of the attributes admits the planted core while
 	// still being selective.
 	p := Params{K: brain.NumTags() * 55 / 100, Tolerance: tol, MinSize: 3}
-	fs, err := Lattice(brain, p)
+	fs, _, err := LatticeWith(exec.Background(), brain, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestGreedyRecoversStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{K: brain.NumTags() * 55 / 100, Tolerance: tol, MinSize: 2, BatchSize: 4}
-	fs, err := Greedy(brain, p)
+	fs, _, err := GreedyWith(exec.Background(), brain, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestLatticeMaximality(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := randomDataset(rng, 9, 25)
 	p := Params{K: 6, Tolerance: randomTolerance(rng, d), MinSize: 2}
-	fs, err := Lattice(d, p)
+	fs, _, err := LatticeWith(exec.Background(), d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,11 +420,11 @@ func TestLatticeVsGreedyAgreementOnClearStructure(t *testing.T) {
 		tol[tg] = 5
 	}
 	p := Params{K: 10, Tolerance: tol, MinSize: 3}
-	lf, err := Lattice(d, p)
+	lf, _, err := LatticeWith(exec.Background(), d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gf, err := Greedy(d, p)
+	gf, _, err := GreedyWith(exec.Background(), d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func TestLatticeCandidateCap(t *testing.T) {
 	_ = rng
 	d := sage.BuildWithTags(c, tagIDs)
 	tol := map[sage.TagID]float64{0: 1, 1: 1, 2: 1}
-	_, err := Lattice(d, Params{K: 3, Tolerance: tol, MinSize: 2, MaxCandidates: 10})
+	_, _, err := LatticeWith(exec.Background(), d, Params{K: 3, Tolerance: tol, MinSize: 2, MaxCandidates: 10})
 	if err == nil {
 		t.Error("expected candidate-cap error")
 	}
@@ -473,11 +474,11 @@ func TestGreedyBatchEqualsUnbatchedWhenOrderIndependent(t *testing.T) {
 	tol := map[sage.TagID]float64{0: 2, 1: 2}
 	p1 := Params{K: 2, Tolerance: tol, MinSize: 2, BatchSize: 1}
 	p2 := Params{K: 2, Tolerance: tol, MinSize: 2}
-	f1, err := Greedy(d, p1)
+	f1, _, err := GreedyWith(exec.Background(), d, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := Greedy(d, p2)
+	f2, _, err := GreedyWith(exec.Background(), d, p2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestViewApplyDoesNotMutateReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldRaw := slices.Clone(old.Raw.Libraries)
-	baseline, err := core.Aggregate("probe", core.FullEnum("probe", old.Data), core.AggregateOptions{})
+	baseline, _, err := core.AggregateWith(exec.Background(), "probe", core.FullEnum("probe", old.Data), core.AggregateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestViewApplyDoesNotMutateReceiver(t *testing.T) {
 				}
 				// A reader holding the old pointer must keep seeing the
 				// old generation, byte for byte.
-				got, err := core.Aggregate("probe", core.FullEnum("probe", old.Data), core.AggregateOptions{})
+				got, _, err := core.AggregateWith(exec.Background(), "probe", core.FullEnum("probe", old.Data), core.AggregateOptions{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -76,7 +76,7 @@ func TestViewApplyDoesNotMutateReceiver(t *testing.T) {
 	if !slices.Equal(old.Raw.Libraries, oldRaw) {
 		t.Fatal("old view's raw corpus changed after builds")
 	}
-	if got, err := core.Aggregate("probe", core.FullEnum("probe", old.Data), core.AggregateOptions{}); err != nil || !reflect.DeepEqual(got.Rows, baseline.Rows) {
+	if got, _, err := core.AggregateWith(exec.Background(), "probe", core.FullEnum("probe", old.Data), core.AggregateOptions{}); err != nil || !reflect.DeepEqual(got.Rows, baseline.Rows) {
 		t.Fatalf("old view changed after builds (err %v)", err)
 	}
 }

@@ -7,6 +7,7 @@ package interval
 
 import (
 	"fmt"
+	"math"
 )
 
 // Interval is a closed range [Min, Max] of expression levels.
@@ -14,8 +15,9 @@ type Interval struct {
 	Min, Max float64
 }
 
-// New returns the interval [min, max]. It panics if min > max; callers
-// constructing intervals from untrusted input should use Make.
+// New returns the interval [min, max]. It panics if min > max or either
+// bound is NaN; callers constructing intervals from untrusted input should
+// use Make.
 func New(min, max float64) Interval {
 	iv, err := Make(min, max)
 	if err != nil {
@@ -24,8 +26,13 @@ func New(min, max float64) Interval {
 	return iv
 }
 
-// Make returns the interval [min, max], or an error if min > max.
+// Make returns the interval [min, max], or an error if min > max or
+// either bound is NaN (a NaN bound would order against nothing). Infinite
+// bounds are allowed.
 func Make(min, max float64) (Interval, error) {
+	if math.IsNaN(min) || math.IsNaN(max) {
+		return Interval{}, fmt.Errorf("interval: NaN bound in [%v, %v]", min, max)
+	}
 	if min > max {
 		return Interval{}, fmt.Errorf("interval: min %v > max %v", min, max)
 	}

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,15 @@ func TestMake(t *testing.T) {
 	}
 	if iv.Min != 1 || iv.Max != 3 {
 		t.Errorf("Make(1,3) = %v", iv)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, b := range [][2]float64{{nan, 3}, {1, nan}, {nan, nan}, {-inf, nan}} {
+		if _, err := Make(b[0], b[1]); err == nil {
+			t.Errorf("Make(%v, %v): expected an error for a NaN bound", b[0], b[1])
+		}
+	}
+	if iv, err := Make(-inf, inf); err != nil || iv.Min != -inf || iv.Max != inf {
+		t.Errorf("Make(-Inf, +Inf) = %v, %v; infinite bounds are legal", iv, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package rescache
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 
 	"gea/internal/exec"
@@ -75,6 +76,10 @@ func (s Source) String() string {
 // Cached reports whether the caller's result was produced without
 // running its own compute.
 func (s Source) Cached() bool { return s != SourceComputed }
+
+// errLeaderPanicked is what followers of a flight whose compute panicked
+// receive; the leader's caller gets the panic itself.
+var errLeaderPanicked = errors.New("rescache: the compute this request joined panicked")
 
 // flight is one in-progress compute; followers block on done and then
 // read res/err, which are written before done is closed.
@@ -186,28 +191,31 @@ func (c *Cache) Do(ctx context.Context, key Key, gen uint64, fn func() (Computed
 		c.mu.Unlock()
 		return f.res, SourceShared, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), err: errLeaderPanicked}
 	c.flights[key] = f
 	c.misses++
 	c.m.misses.Add(1)
 	c.mu.Unlock()
 
-	res, err := fn()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	f.res, f.err = res, err
-	close(f.done)
-	if err == nil {
-		if res.Partial {
-			c.uncacheableN++
-			c.m.uncacheable.Add(1)
-		} else {
-			c.insertLocked(key, gen, res)
+	// The flight finishes in a defer so a panicking fn cannot strand it:
+	// followers then wake with errLeaderPanicked, nothing is stored, and
+	// the panic continues to the leader's caller.
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			if f.res.Partial {
+				c.uncacheableN++
+				c.m.uncacheable.Add(1)
+			} else {
+				c.insertLocked(key, gen, f.res)
+			}
 		}
-	}
-	c.mu.Unlock()
-	return res, SourceComputed, err
+		close(f.done)
+		c.mu.Unlock()
+	}()
+	f.res, f.err = fn()
+	return f.res, SourceComputed, f.err
 }
 
 // Get returns the stored result for key without computing; intended

@@ -434,3 +434,59 @@ func TestCacheMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheLeaderPanicReleasesFlight pins that a compute panicking
+// through Do cannot strand its flight: the panic reaches the leader's
+// caller, a follower that had joined wakes with an error, nothing is
+// stored, and the next Do on the key runs its own compute.
+func TestCacheLeaderPanicReleasesFlight(t *testing.T) {
+	c := New(Options{})
+	k := mustKey(t, 1, "crash", 3)
+	crash := make(chan struct{})
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		_, _, _ = c.Do(context.Background(), k, 1, func() (Computed, error) {
+			<-crash
+			panic("compute crashed")
+		})
+	}()
+	for c.Stats().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	follower := &waitSignal{Context: context.Background(), waiting: make(chan struct{})}
+	followerDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(follower, k, 1, func() (Computed, error) {
+			return Computed{Value: "follower", Bytes: 1}, nil
+		})
+		followerDone <- err
+	}()
+	<-follower.waiting
+	close(crash)
+	if rec := <-leaderDone; rec != "compute crashed" {
+		t.Fatalf("leader's caller recovered %v, want the compute's panic", rec)
+	}
+	select {
+	case err := <-followerDone:
+		if err == nil {
+			t.Error("the follower of a panicked flight returned a nil error")
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("the follower is still blocked on the panicked flight")
+	}
+	if n := c.Stats().InFlight; n != 0 {
+		t.Errorf("InFlight = %d after the leader panicked, want 0", n)
+	}
+	if _, ok := c.Get(k); ok {
+		t.Error("a panicked flight stored a result")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	res, src, err := c.Do(ctx, k, 1, func() (Computed, error) {
+		return Computed{Value: "recomputed", Bytes: 1}, nil
+	})
+	if err != nil || src != SourceComputed || res.Value != "recomputed" {
+		t.Errorf("next Do: src=%v value=%v err=%v, want its own compute", src, res.Value, err)
+	}
+}

@@ -152,13 +152,16 @@ func paramInt(raw map[string]string, key string, def int) (int, error) {
 	return n, nil
 }
 
+// paramFloat parses an optional float param. NaN is a caller fault: it
+// compares false against every bound, so a NaN would slip past range
+// checks and compute against a meaningless interval. ±Inf are legal.
 func paramFloat(raw map[string]string, key string, def float64) (float64, error) {
 	v, ok := raw[key]
 	if !ok || v == "" {
 		return def, nil
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(f) {
 		return 0, &ParamError{Param: key, Reason: fmt.Sprintf("not a number: %q", v)}
 	}
 	return f, nil

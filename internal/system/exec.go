@@ -184,18 +184,16 @@ func (s *System) attachRuns(c *exec.Ctl, names ...string) {
 	}
 }
 
-// FindPureFascicleCtx is FindPureFascicle under execution governance with
-// the default lattice miner.
-func (s *System) FindPureFascicleCtx(ctx context.Context, datasetName string, prop sage.Property, minSize int, lim exec.Limits) (string, exec.Trace, error) {
-	return s.FindPureFascicleWithCtx(ctx, datasetName, prop, minSize, core.LatticeAlgorithm, lim)
-}
-
-// FindPureFascicleWithCtx is FindPureFascicleWith under execution
-// governance. One admission slot and one work budget span the entire
-// strict-to-loose threshold scan. A search yields a single name, so budget
-// exhaustion before success is an error (satisfying
-// errors.Is(err, exec.ErrBudget)) rather than a partial result.
-func (s *System) FindPureFascicleWithCtx(ctx context.Context, datasetName string, prop sage.Property, minSize int, alg core.Algorithm, lim exec.Limits) (string, exec.Trace, error) {
+// FindPureFascicleCtx is FindPureFascicle under execution governance,
+// mining with alg. Use the greedy single-pass miner for full-scale corpora
+// (tens of thousands of tags): the exact lattice's candidate frontier
+// grows combinatorially there, which is exactly why the original system
+// ran the [JMN99] single-pass algorithm. One admission slot and one work
+// budget span the entire strict-to-loose threshold scan. A search yields a
+// single name, so budget exhaustion before success is an error
+// (satisfying errors.Is(err, exec.ErrBudget)) rather than a partial
+// result.
+func (s *System) FindPureFascicleCtx(ctx context.Context, datasetName string, prop sage.Property, minSize int, alg core.Algorithm, lim exec.Limits) (string, exec.Trace, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
 		return "", exec.Trace{}, err

@@ -12,6 +12,7 @@ import (
 	"gea/internal/core"
 	"gea/internal/exec"
 	"gea/internal/exec/execwalk"
+	"gea/internal/rescache"
 	"gea/internal/sage"
 	"gea/internal/sagegen"
 )
@@ -69,7 +70,7 @@ func TestCreateGapCheckpointWalk(t *testing.T) {
 // satisfying errors.Is(err, exec.ErrBudget), never a silent miss.
 func TestFindPureFascicleBudget(t *testing.T) {
 	sys := newExecSystem(t)
-	_, tr, err := sys.FindPureFascicleWithCtx(context.Background(), "brain", sage.PropCancer, 3,
+	_, tr, err := sys.FindPureFascicleCtx(context.Background(), "brain", sage.PropCancer, 3,
 		core.LatticeAlgorithm, exec.Limits{Budget: 3})
 	if !errors.Is(err, exec.ErrBudget) {
 		t.Fatalf("budget 3: got %v, want exec.ErrBudget", err)
@@ -79,7 +80,7 @@ func TestFindPureFascicleBudget(t *testing.T) {
 	}
 
 	// With no limits the search succeeds and matches the legacy path.
-	name, tr, err := sys.FindPureFascicleCtx(context.Background(), "brain", sage.PropCancer, 3, exec.Limits{})
+	name, tr, err := sys.FindPureFascicleCtx(context.Background(), "brain", sage.PropCancer, 3, core.LatticeAlgorithm, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestFindPureFascicleCancel(t *testing.T) {
 			cancel()
 		}
 	})
-	_, _, err := sys.FindPureFascicleWithCtx(ctx, "brain", sage.PropCancer, 3,
+	_, _, err := sys.FindPureFascicleCtx(ctx, "brain", sage.PropCancer, 3,
 		core.LatticeAlgorithm, exec.Limits{CheckEvery: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -261,5 +262,42 @@ func TestConcurrentSystemOps(t *testing.T) {
 	}
 	if !loaded.LoadReport.OK() {
 		t.Fatalf("concurrent save left a damaged session: %v", loaded.LoadReport)
+	}
+}
+
+// TestCachedQueryLeaderPanic pins that a cached query's compute runs
+// panic-isolated: a panic injected at a checkpoint, as execwalk's panic
+// walk injects one, comes back as an *exec.ExecError carrying the panic
+// value, the key's flight is released, and the same call then computes.
+func TestCachedQueryLeaderPanic(t *testing.T) {
+	res, err := sagegen.Generate(sagegen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(res.Corpus, Options{User: "jessica", Catalog: res.Catalog, GeneDBSeed: 1, ResultCache: &rescache.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compute := func(c *exec.Ctl, snap Snapshot) (any, int64, bool, error) {
+		s, partial, err := core.AggregateWith(c, "allSumy", core.FullEnum("all", snap.Data), core.AggregateOptions{})
+		return s, 1, partial, err
+	}
+	type boom struct{ at int64 }
+	ctx := exec.WithHook(context.Background(), func(nth int64) {
+		if nth == 2 {
+			panic(boom{at: nth})
+		}
+	})
+	_, err = sys.CachedQueryCtx(ctx, "acme", "test.aggregate", "all", exec.Limits{}, compute)
+	var ee *exec.ExecError
+	if !errors.As(err, &ee) || ee.Op != "test.aggregate" || ee.PanicValue != (boom{at: 2}) {
+		t.Fatalf("panicking compute: err = %v, want *exec.ExecError{test.aggregate} carrying boom{2}", err)
+	}
+	if n := sys.ResultCacheStats().InFlight; n != 0 {
+		t.Fatalf("InFlight = %d after the panic, want 0", n)
+	}
+	qr, err := sys.CachedQueryCtx(context.Background(), "acme", "test.aggregate", "all", exec.Limits{}, compute)
+	if err != nil || qr.Source != rescache.SourceComputed || qr.Value == nil {
+		t.Fatalf("rerun: source %v, value %v, err %v; want a fresh compute", qr.Source, qr.Value, err)
 	}
 }

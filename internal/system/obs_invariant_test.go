@@ -62,7 +62,7 @@ func TestSpanInvariantFindPureFascicleBudget(t *testing.T) {
 	sys := newExecSystem(t)
 	col := obs.NewCollector()
 	ctx := obs.WithCollector(context.Background(), col)
-	_, tr, err := sys.FindPureFascicleWithCtx(ctx, "brain", sage.PropCancer, 3,
+	_, tr, err := sys.FindPureFascicleCtx(ctx, "brain", sage.PropCancer, 3,
 		core.LatticeAlgorithm, exec.Limits{Budget: 3})
 	if !exec.IsBudget(err) {
 		t.Fatalf("budget 3: got %v, want exec.ErrBudget", err)

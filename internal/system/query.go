@@ -124,7 +124,9 @@ func chargeReuse(c *exec.Ctl, op string, units int64) (err error) {
 // corpus through the result cache: the request takes an admission
 // slot, its limits are shaped by the queue-wide state and then by the
 // tenant's envelope, the (generation, op, params) key is canonicalized,
-// and identical in-flight requests single-flight onto one compute.
+// and identical in-flight requests single-flight onto one compute,
+// which runs under exec.Run: a panic in it becomes an *exec.ExecError
+// naming op, for this caller and any followers that joined it.
 // compute receives the metered Ctl and an immutable snapshot; it must
 // derive everything from those two (never from the live session
 // registries) and return the value, its approximate byte size and
@@ -155,20 +157,18 @@ func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params a
 	gen := snap.Generation
 
 	var trace exec.Trace
-	run := func() (rescache.Computed, error) {
-		c := exec.New(ctx, lim)
-		value, bytes, partial, err := compute(c, snap)
-		trace = c.Snapshot(partial)
-		if err != nil {
-			return rescache.Computed{}, err
-		}
-		return rescache.Computed{
-			Value:   value,
-			Bytes:   bytes,
-			Units:   trace.Units,
-			Partial: partial,
-			Record:  c.RunRecord(),
-		}, nil
+	run := func() (res rescache.Computed, err error) {
+		res, trace, err = exec.Run(ctx, lim, op, "", func(c *exec.Ctl) (rescache.Computed, bool, error) {
+			value, bytes, partial, err := compute(c, snap)
+			return rescache.Computed{
+				Value:   value,
+				Bytes:   bytes,
+				Units:   c.Units(),
+				Partial: partial,
+				Record:  c.RunRecord(),
+			}, partial, err
+		})
+		return res, err
 	}
 
 	var res rescache.Computed

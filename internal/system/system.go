@@ -670,7 +670,7 @@ func (s *System) FormSUM(fasName, datasetName string) (CaseGroups, error) {
 		if err != nil {
 			return "", err
 		}
-		sm, err := core.Aggregate(name, e, core.AggregateOptions{})
+		sm, _, err := core.AggregateWith(exec.Background(), name, e, core.AggregateOptions{})
 		if err != nil {
 			return "", err
 		}
@@ -906,23 +906,15 @@ func (s *System) TissueTypes() map[string][]string {
 // returns the tightest (most compact tags) such fascicle's name. The right
 // k differs per tissue (the thesis stores a per-tissue threshold in CDInfo);
 // scanning from strict to loose finds the highest k the data supports.
-// GenerateMetadata must have been called for the dataset.
+// GenerateMetadata must have been called for the dataset. It mines with the
+// exact lattice miner; FindPureFascicleCtx takes the miner as a parameter.
 func (s *System) FindPureFascicle(datasetName string, prop sage.Property, minSize int) (string, error) {
-	return s.FindPureFascicleWith(datasetName, prop, minSize, core.LatticeAlgorithm)
-}
-
-// FindPureFascicleWith is FindPureFascicle with an explicit mining
-// algorithm. Use the greedy single-pass miner for full-scale corpora (tens
-// of thousands of tags): the exact lattice's candidate frontier grows
-// combinatorially there, which is exactly why the original system ran the
-// [JMN99] single-pass algorithm.
-func (s *System) FindPureFascicleWith(datasetName string, prop sage.Property, minSize int, alg core.Algorithm) (string, error) {
-	name, _, err := s.findPureFascicle(s.background(), datasetName, prop, minSize, alg)
+	name, _, err := s.findPureFascicle(s.background(), datasetName, prop, minSize, core.LatticeAlgorithm)
 	return name, err
 }
 
-// findPureFascicle is the metered search shared by the legacy methods and
-// FindPureFascicleWithCtx; one Ctl spans the whole strict-to-loose scan, so
+// findPureFascicle is the metered search shared by FindPureFascicle and
+// FindPureFascicleCtx; one Ctl spans the whole strict-to-loose scan, so
 // a budget covers the search as a whole, not each mining run separately.
 func (s *System) findPureFascicle(c *exec.Ctl, datasetName string, prop sage.Property, minSize int, alg core.Algorithm) (_ string, partial bool, err error) {
 	sp := c.StartSpan("system.FindPureFascicle")
@@ -1054,7 +1046,8 @@ func (s *System) replay(node *lineage.Node) (*core.Gap, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.Diff(node.Name, a, b)
+		g, _, err := core.DiffWith(exec.Background(), node.Name, a, b)
+		return g, err
 	case node.Operation == "topgap":
 		if len(node.Inputs) != 1 {
 			return nil, fmt.Errorf("topgap needs 1 input, recorded %d", len(node.Inputs))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gea/internal/core"
+	"gea/internal/exec"
 	"gea/internal/sage"
 	"gea/internal/sagegen"
 )
@@ -277,7 +278,7 @@ func TestRegisterSumyAndGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := core.SelectSumy("mySelection", src, func(core.SumyRow) bool { return true })
+	sel, _, err := core.SelectSumyWith(exec.Background(), "mySelection", src, func(core.SumyRow) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +440,7 @@ func TestPurityCheckAndRegisterGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.Diff("externalGap", a, b)
+	g, _, err := core.DiffWith(exec.Background(), "externalGap", a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,9 @@ func TestCompareCheckpointWalk(t *testing.T) {
 	execwalk.Walk(t, execwalk.Target{
 		Name: "Compare",
 		Run: func(ctx context.Context, lim exec.Limits) (exec.Trace, error) {
-			_, tr, err := CompareCtx(ctx, a, b, Options{}, lim)
+			_, tr, err := exec.Run(ctx, lim, "xprofiler.Compare", "", func(c *exec.Ctl) ([]Result, bool, error) {
+				return CompareWith(c, a, b, Options{})
+			})
 			return tr, err
 		},
 		MaxUnitStep: 1,
@@ -36,7 +38,7 @@ func TestComparePartialIsPrefix(t *testing.T) {
 	c, _ := buildCorpus(t)
 	a, _ := PoolByState(c, "brain", sage.Cancer)
 	b, _ := PoolByState(c, "brain", sage.Normal)
-	full, err := Compare(a, b, Options{})
+	full, _, err := CompareWith(exec.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,9 @@ func TestComparePartialIsPrefix(t *testing.T) {
 		inFull[r.Tag] = true
 	}
 	for budget := int64(1); budget < 2000; budget += 97 {
-		got, tr, err := CompareCtx(context.Background(), a, b, Options{}, exec.Limits{Budget: budget})
+		got, tr, err := exec.Run(context.Background(), exec.Limits{Budget: budget}, "xprofiler.Compare", "", func(c *exec.Ctl) ([]Result, bool, error) {
+			return CompareWith(c, a, b, Options{})
+		})
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -64,19 +68,19 @@ func TestCompareValidation(t *testing.T) {
 	c, _ := buildCorpus(t)
 	a, _ := PoolByState(c, "brain", sage.Cancer)
 	b, _ := PoolByState(c, "brain", sage.Normal)
-	if _, err := Compare(a, b, Options{Alpha: math.NaN()}); err == nil {
+	if _, _, err := CompareWith(exec.Background(), a, b, Options{Alpha: math.NaN()}); err == nil {
 		t.Error("NaN alpha accepted")
 	}
-	if _, err := Compare(a, b, Options{Alpha: 2}); err == nil {
+	if _, _, err := CompareWith(exec.Background(), a, b, Options{Alpha: 2}); err == nil {
 		t.Error("alpha > 1 accepted")
 	}
-	if _, err := Compare(a, b, Options{MinCount: math.NaN()}); err == nil {
+	if _, _, err := CompareWith(exec.Background(), a, b, Options{MinCount: math.NaN()}); err == nil {
 		t.Error("NaN min count accepted")
 	}
-	if _, err := Compare(a, b, Options{MinCount: -1}); err == nil {
+	if _, _, err := CompareWith(exec.Background(), a, b, Options{MinCount: -1}); err == nil {
 		t.Error("negative min count accepted")
 	}
-	if _, err := Compare(nil, b, Options{}); err == nil {
+	if _, _, err := CompareWith(exec.Background(), nil, b, Options{}); err == nil {
 		t.Error("nil pool accepted")
 	}
 }

@@ -25,7 +25,6 @@
 package xprofiler
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -103,42 +102,12 @@ type Options struct {
 	MinCount float64
 }
 
-// Compare runs the pooled differential test of the xProfiler and returns the
-// significant tags sorted by ascending p-value (ties by tag).
-func Compare(a, b *Pool, opts Options) ([]Result, error) {
-	out, _, err := CompareWith(exec.Background(), a, b, opts)
-	return out, err
-}
-
-// CompareCtx is Compare under execution governance: cancellation is
-// observed once per tag tested, a budget stop returns the significant
-// tags found so far (sorted, flagged partial), and panics are recovered
-// into a structured *exec.ExecError.
-func CompareCtx(ctx context.Context, a, b *Pool, opts Options, lim exec.Limits) ([]Result, exec.Trace, error) {
-	c := exec.New(ctx, lim)
-	var out []Result
-	var partial bool
-	err := exec.Guard("xprofiler.Compare", poolNode(a, b), func() error {
-		var err error
-		out, partial, err = CompareWith(c, a, b, opts)
-		return err
-	})
-	if err != nil {
-		out = nil
-	}
-	return out, c.Snapshot(partial), err
-}
-
-func poolNode(a, b *Pool) string {
-	if a == nil || b == nil {
-		return ""
-	}
-	return a.Name + " vs " + b.Name
-}
-
-// CompareWith is the metered implementation; one work unit is one tag
-// tested. Tags are visited in sorted order so a partial result is a
-// deterministic prefix of the tag universe.
+// CompareWith runs the pooled differential test of the xProfiler and
+// returns the significant tags sorted by ascending p-value (ties by tag).
+//
+// One work unit is one tag tested. Tags are visited in sorted order, so a
+// budget stop returns the significant tags found so far (sorted, flagged
+// partial) from a deterministic prefix of the tag universe.
 func CompareWith(c *exec.Ctl, a, b *Pool, opts Options) (_ []Result, partial bool, err error) {
 	if a == nil || b == nil {
 		return nil, false, fmt.Errorf("xprofiler: nil pool")

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"gea/internal/exec"
 	"gea/internal/sage"
 	"gea/internal/sagegen"
 )
@@ -137,7 +138,7 @@ func TestCompareRecoversPlantedSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Compare(cancer, normal, Options{Alpha: 1e-4})
+	results, _, err := CompareWith(exec.Background(), cancer, normal, Options{Alpha: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +185,14 @@ func TestCompareOptionsValidation(t *testing.T) {
 	c, _ := buildCorpus(t)
 	a, _ := PoolByState(c, "brain", sage.Cancer)
 	b, _ := PoolByState(c, "brain", sage.Normal)
-	if _, err := Compare(nil, b, Options{}); err == nil {
+	if _, _, err := CompareWith(exec.Background(), nil, b, Options{}); err == nil {
 		t.Error("nil pool: expected error")
 	}
-	if _, err := Compare(a, b, Options{Alpha: 2}); err == nil {
+	if _, _, err := CompareWith(exec.Background(), a, b, Options{Alpha: 2}); err == nil {
 		t.Error("alpha > 1: expected error")
 	}
 	// Defaults apply.
-	if _, err := Compare(a, b, Options{}); err != nil {
+	if _, _, err := CompareWith(exec.Background(), a, b, Options{}); err != nil {
 		t.Errorf("default options: %v", err)
 	}
 }
@@ -200,7 +201,7 @@ func TestCompareNoDifference(t *testing.T) {
 	// Comparing a pool against itself yields nothing significant.
 	c, _ := buildCorpus(t)
 	a, _ := PoolByState(c, "brain", sage.Normal)
-	res, err := Compare(a, a, Options{Alpha: 0.001})
+	res, _, err := CompareWith(exec.Background(), a, a, Options{Alpha: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,13 @@ type (
 	Fascicle = fascicle.Fascicle
 )
 
+// The miners, like the clusterers and XCompare below, take the *Ctl
+// that meters them first; see the Operators block in algebra.go.
 var (
 	// MineFasciclesLattice is the exact level-wise miner (maximal results).
-	MineFasciclesLattice = fascicle.Lattice
+	MineFasciclesLattice = fascicle.LatticeWith
 	// MineFasciclesGreedy is the single-pass batched heuristic.
-	MineFasciclesGreedy = fascicle.Greedy
+	MineFasciclesGreedy = fascicle.GreedyWith
 )
 
 // One-step clustering baselines (thesis Sections 2.3.1-2.3.3).
@@ -55,13 +57,13 @@ const (
 
 var (
 	// Hierarchical is Eisen-style agglomerative clustering.
-	Hierarchical = cluster.Hierarchical
+	Hierarchical = cluster.HierarchicalWith
 	// KMeans is Lloyd's algorithm with k-means++ seeding.
-	KMeans = cluster.KMeans
+	KMeans = cluster.KMeansWith
 	// SOM trains a self-organizing map (the Golub et al. method).
-	SOM = cluster.SOM
+	SOM = cluster.SOMWith
 	// OPTICS computes the density cluster ordering (Ng et al. on SAGE).
-	OPTICS = cluster.OPTICS
+	OPTICS = cluster.OPTICSWith
 	// ExtractDBSCAN flattens an OPTICS ordering at a fixed eps.
 	ExtractDBSCAN = cluster.ExtractDBSCAN
 	// CorrelationDistance is 1 - Pearson, the thesis's distance function.
@@ -219,7 +221,7 @@ var (
 	NewXPool     = xprofiler.NewPool
 	XPoolByState = xprofiler.PoolByState
 	// XCompare runs the pooled differential test.
-	XCompare = xprofiler.Compare
+	XCompare = xprofiler.CompareWith
 	// AudicClaverieP is the two-sided Audic-Claverie p-value for SAGE
 	// counts (x, y) in pools of totals (n1, n2).
 	AudicClaverieP = xprofiler.TwoSidedP
@@ -230,7 +232,7 @@ type CASTConfig = cluster.CASTConfig
 
 var (
 	// CAST clusters rows, discovering the cluster count itself.
-	CAST = cluster.CAST
+	CAST = cluster.CASTWith
 	// CorrelationAffinity maps Pearson correlation to [0, 1].
 	CorrelationAffinity = cluster.CorrelationAffinity
 	// NumClusters counts distinct non-negative labels.
