@@ -137,12 +137,11 @@ type mineResponse struct {
 
 // handleMine runs the tissue pipeline (dataset, metadata, governed
 // pure-fascicle search) with the request's context, recording spans and
-// metrics into the server's collector. Status mapping: 400 only for
-// caller errors (missing or unknown tissue, or a typed ParamError from
-// the mining pipeline), 429 for an admission-queue timeout, 503 for
-// overload/shedding/draining/timeout (all with Retry-After), 500
-// otherwise. Budget stops are 200s with the partial flagged — that is
-// the degraded mode working as designed.
+// metrics into the server's collector. A missing or unknown tissue is a
+// 400, and shedding or draining a 503 with Retry-After. Budget stops are
+// 200s with the partial flagged — that is the degraded mode working as
+// designed — and a cancellation answers its JSON body as a 503 with
+// Retry-After. writeError maps every other error.
 func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 	n := gw.reqSeq.Add(1)
 	gw.faults.maybePanic(n)
@@ -203,9 +202,6 @@ func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 		State: state.String(), Degraded: state != gea.AdmissionHealthy,
 		Throttled: throttled,
 	}
-	var busy *gea.ErrBusy
-	var overload *gea.ErrOverload
-	var param *gea.FascicleParamError
 	switch {
 	case err == nil:
 	case gea.IsBudget(err):
@@ -213,24 +209,6 @@ func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 		// a flagged partial, not a failure.
 		resp.Partial = true
 		resp.Note = "stopped by the work budget"
-	case errors.As(err, &busy):
-		w.Header().Set("Retry-After", retryAfterSeconds(busy.RetryAfter))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.As(err, &overload):
-		w.Header().Set("Retry-After", retryAfterSeconds(overload.RetryAfter))
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, gea.ErrShuttingDown):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.As(err, &param):
-		// A typed mining-parameter rejection is the caller's fault:
-		// surfacing it as 500 would poison the server error rate and
-		// invite pointless retries of a request that can never succeed.
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
 	case gea.IsCancellation(err):
 		// The request deadline (or the client) cancelled mid-work.
 		resp.Note = "cancelled"
@@ -238,7 +216,7 @@ func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, resp)
 		return
 	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -255,14 +233,13 @@ type ingestResponse struct {
 	Degraded   bool   `json:"degraded,omitempty"`
 }
 
-// handleIngest accepts one append batch (POST, JSON wire form). Status
-// mapping mirrors /mine: 400 for a caller problem (bad method aside —
-// that is 405 — a payload that does not decode, or a typed SchemaError
-// the append surfaces for the batch as a whole), 429 for an
-// admission-queue timeout, 503 for overload/draining/cancellation with
-// Retry-After, 500 otherwise. Schema violations inside a well-formed
-// batch are NOT errors: those libraries are quarantined and reported in
-// the 200 body while the valid remainder commits.
+// handleIngest accepts one append batch (POST, JSON wire form). A wrong
+// method is a 405 and a payload that does not decode a 400. A budget
+// stop is a 503 with Retry-After, like a cancelled append, and
+// writeError maps every other error (a batch-level SchemaError is a
+// 400). Schema violations inside a well-formed batch are NOT errors:
+// those libraries are quarantined and reported in the 200 body while
+// the valid remainder commits.
 func (gw *gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if gw.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -290,38 +267,16 @@ func (gw *gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	lim, state := gw.sys.ShapeLimits(gw.opts.limits)
 	rep, _, err := gw.sys.IngestAppendCtx(ctx, batch, lim)
-	var busy *gea.ErrBusy
-	var overload *gea.ErrOverload
-	var schema *gea.IngestSchemaError
-	switch {
-	case err == nil:
-	case errors.As(err, &busy):
-		w.Header().Set("Retry-After", retryAfterSeconds(busy.RetryAfter))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.As(err, &overload):
-		w.Header().Set("Retry-After", retryAfterSeconds(overload.RetryAfter))
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, gea.ErrShuttingDown):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.As(err, &schema):
-		// A schema rejection of the batch as a whole (per-library
-		// violations quarantine instead) is the caller's fault: a 400,
-		// never a 500 that would poison the server error rate.
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	case gea.IsCancellation(err), gea.IsBudget(err):
-		// The request deadline died mid-append, or degraded-mode budget
-		// shaping stopped the apply. Nothing was committed (the view swap
-		// is all-or-nothing), so the client can simply retry.
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err != nil {
+		if gea.IsBudget(err) {
+			// Degraded-mode budget shaping stopped the apply. Nothing was
+			// committed (the view swap is all-or-nothing), so the client
+			// can simply retry, as after a cancelled append.
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ingestResponse{
@@ -395,6 +350,48 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// writeError is the server's one error classifier: every handler sends
+// the errors it does not answer itself here, so each mapping is written
+// once. 429 for an admission-queue timeout and 503 for overload,
+// draining or cancellation, all with Retry-After; 400 for a typed caller
+// fault (a session or mining ParamError, or a batch-level SchemaError,
+// which would otherwise poison the 5xx rate and be retried forever); 404
+// for an unknown session vs 410 for an expired one; 409 for a double
+// create; 500 otherwise. It takes the (unused) request so that it has a
+// handler's shape, which is what the statusmap analyzer checks.
+func writeError(w http.ResponseWriter, r *http.Request, err error) {
+	var busy *gea.ErrBusy
+	var overload *gea.ErrOverload
+	var param *gea.SessionParamError
+	var mineParam *gea.FascicleParamError
+	var schema *gea.IngestSchemaError
+	var exists *gea.ErrSessionExists
+	switch {
+	case errors.As(err, &busy):
+		w.Header().Set("Retry-After", retryAfterSeconds(busy.RetryAfter))
+		http.Error(w, err.Error(), http.StatusTooManyRequests)
+	case errors.As(err, &overload):
+		w.Header().Set("Retry-After", retryAfterSeconds(overload.RetryAfter))
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.Is(err, gea.ErrShuttingDown):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.As(err, &param), errors.As(err, &mineParam), errors.As(err, &schema):
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	case errors.Is(err, gea.ErrSessionUnknown):
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case errors.Is(err, gea.ErrSessionExpired):
+		http.Error(w, err.Error(), http.StatusGone)
+	case errors.As(err, &exists):
+		http.Error(w, err.Error(), http.StatusConflict)
+	case gea.IsCancellation(err):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // retryAfterSeconds renders a duration as a Retry-After header value:

@@ -3,12 +3,12 @@ package main
 // Session routes for "gea serve": create a named session scoped to a
 // tenant, run read-only algebra operators by name through the
 // generation-keyed result cache, fetch the lineage the runs recorded,
-// and close it. One classifier, writeSessionError, owns the whole
-// error contract so every session handler maps faults identically:
-// 400 for caller errors, 404 unknown vs 410 expired, 409 double
-// create, 429 admission timeout and 503 overload/draining (both with
-// Retry-After), 500 otherwise. Request bodies are read through a
-// maxSessionBody bound, and one that runs past it is a 413.
+// and close it. Every session handler maps faults through the server's
+// one classifier, writeError: 400 for caller errors, 404 unknown vs 410
+// expired, 409 double create, 429 admission timeout and 503
+// overload/draining (both with Retry-After), 500 otherwise. Request
+// bodies are read through a maxSessionBody bound, and one that runs
+// past it is a 413.
 
 import (
 	"context"
@@ -28,41 +28,6 @@ func tenantOf(r *http.Request) string {
 		return t
 	}
 	return r.URL.Query().Get("tenant")
-}
-
-// writeSessionError classifies a session-layer failure onto the wire.
-// Central by design: the conformance suite pins each mapping once and
-// every handler inherits it.
-func writeSessionError(w http.ResponseWriter, r *http.Request, err error) {
-	var busy *gea.ErrBusy
-	var overload *gea.ErrOverload
-	var param *gea.SessionParamError
-	var mineParam *gea.FascicleParamError
-	var exists *gea.ErrSessionExists
-	switch {
-	case errors.As(err, &busy):
-		w.Header().Set("Retry-After", retryAfterSeconds(busy.RetryAfter))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.As(err, &overload):
-		w.Header().Set("Retry-After", retryAfterSeconds(overload.RetryAfter))
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, gea.ErrShuttingDown):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.As(err, &param), errors.As(err, &mineParam):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	case errors.Is(err, gea.ErrSessionUnknown):
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, gea.ErrSessionExpired):
-		http.Error(w, err.Error(), http.StatusGone)
-	case errors.As(err, &exists):
-		http.Error(w, err.Error(), http.StatusConflict)
-	case gea.IsCancellation(err):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // maxSessionBody bounds a session create or run body. A run body is
@@ -111,7 +76,7 @@ func (gw *gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := gw.sessions.Create(body.ID, tenant)
 	if err != nil {
-		writeSessionError(w, r, err)
+		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -122,7 +87,7 @@ func (gw *gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (gw *gateway) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	info, err := gw.sessions.Get(r.PathValue("id"))
 	if err != nil {
-		writeSessionError(w, r, err)
+		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -132,7 +97,7 @@ func (gw *gateway) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // cascading its lineage subtree.
 func (gw *gateway) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if err := gw.sessions.Close(r.PathValue("id")); err != nil {
-		writeSessionError(w, r, err)
+		writeError(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -171,7 +136,7 @@ func (gw *gateway) handleSessionRun(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		writeSessionError(w, r, err)
+		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -182,7 +147,7 @@ func (gw *gateway) handleSessionRun(w http.ResponseWriter, r *http.Request) {
 func (gw *gateway) handleSessionLineage(w http.ResponseWriter, r *http.Request) {
 	nodes, err := gw.sessions.Lineage(r.PathValue("id"))
 	if err != nil {
-		writeSessionError(w, r, err)
+		writeError(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, nodes)

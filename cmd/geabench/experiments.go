@@ -262,22 +262,24 @@ func expCleaning(e *env) error {
 // ------------------------------------------------------------- fig 4.x
 
 // brainPipeline mines brain and returns (system, dataset, in-fascicle set,
-// case groups).
+// case groups). The search result is memoized, so a search stopped by the
+// -deadline runs again on the next call.
 func brainPipeline(e *env) (*gea.System, *gea.Dataset, map[string]bool, gea.CaseGroups, error) {
 	sys, err := e.sys()
 	if err != nil {
 		return nil, nil, nil, gea.CaseGroups{}, err
 	}
-	var groups gea.CaseGroups
 	const dsName = "brain"
 	brain, err := sys.Dataset(dsName)
 	if err != nil {
 		if brain, err = sys.CreateTissueDataset(dsName); err != nil {
-			return nil, nil, nil, groups, err
+			return nil, nil, nil, gea.CaseGroups{}, err
 		}
 		if err := sys.GenerateMetadata(dsName, 10); err != nil {
-			return nil, nil, nil, groups, err
+			return nil, nil, nil, gea.CaseGroups{}, err
 		}
+	}
+	if e.brainPure == "" {
 		alg := gea.LatticeAlgorithm
 		if e.full {
 			alg = gea.GreedyAlgorithm
@@ -286,25 +288,24 @@ func brainPipeline(e *env) (*gea.System, *gea.Dataset, map[string]bool, gea.Case
 		pure, tr, err := sys.FindPureFascicleCtx(ctx, dsName, gea.PropCancer, 3, alg, gea.ExecLimits{})
 		cancel()
 		if err != nil {
-			return nil, nil, nil, groups, err
+			return nil, nil, nil, gea.CaseGroups{}, err
 		}
 		e.noteTrace(tr)
-		if groups, err = sys.FormSUM(pure, dsName); err != nil {
-			return nil, nil, nil, groups, err
+		groups, err := sys.FormSUM(pure, dsName)
+		if err != nil {
+			return nil, nil, nil, gea.CaseGroups{}, err
 		}
 		e.brainPure, e.brainGroups = pure, groups
-	} else {
-		groups = e.brainGroups
 	}
 	fas, err := sys.Fascicle(e.brainPure)
 	if err != nil {
-		return nil, nil, nil, groups, err
+		return nil, nil, nil, gea.CaseGroups{}, err
 	}
 	inFas := map[string]bool{}
 	for _, n := range fas.Fascicle.LibraryNames(brain) {
 		inFas[n] = true
 	}
-	return sys, brain, inFas, groups, nil
+	return sys, brain, inFas, e.brainGroups, nil
 }
 
 func figMarker(gene string) func(*env) error {

@@ -1,9 +1,9 @@
 // Command geacheck is GEA's own static-analysis suite: a multichecker
 // that machine-enforces the operator-algebra and execution-governance
-// invariants (checkpointed loops, lock discipline, sentinel wrapping,
-// flagged partial results, no naked panics, span pairing, shard slot
-// ownership, commit ordering, HTTP status mapping, the metric manifest)
-// plus the //lint:gea suppression grammar.
+// invariants the tests do not catch (checkpointed loops, lock
+// discipline, sentinel wrapping, span pairing, shard slot ownership,
+// HTTP status mapping, the metric manifest) plus the //lint:gea
+// suppression grammar.
 //
 // Usage, from the module root:
 //

@@ -22,31 +22,25 @@ import (
 	"strings"
 
 	"gea/internal/analysis"
-	"gea/internal/analysis/commitlast"
 	"gea/internal/analysis/ctlcharge"
 	"gea/internal/analysis/errwrap"
 	"gea/internal/analysis/load"
 	"gea/internal/analysis/locksafe"
 	"gea/internal/analysis/metricname"
-	"gea/internal/analysis/nopanic"
-	"gea/internal/analysis/partialflag"
 	"gea/internal/analysis/shardpure"
 	"gea/internal/analysis/spanpair"
 	"gea/internal/analysis/statusmap"
 )
 
-// Analyzers returns the full suite: the ten invariant analyzers plus
+// Analyzers returns the full suite: the seven invariant analyzers plus
 // the //lint:gea directive validator.
 func Analyzers() []*analysis.Analyzer {
 	core := []*analysis.Analyzer{
 		ctlcharge.Analyzer,
 		locksafe.Analyzer,
 		errwrap.Analyzer,
-		partialflag.Analyzer,
-		nopanic.Analyzer,
 		spanpair.Analyzer,
 		shardpure.Analyzer,
-		commitlast.Analyzer,
 		statusmap.Analyzer,
 		metricname.Analyzer,
 	}

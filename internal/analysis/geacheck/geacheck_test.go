@@ -44,7 +44,7 @@ func TestMainList(t *testing.T) {
 	if code := geacheck.Main(&stdout, &stderr, []string{"-list"}); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"ctlcharge", "locksafe", "errwrap", "partialflag", "nopanic", "spanpair", "suppress"} {
+	for _, name := range []string{"ctlcharge", "locksafe", "errwrap", "spanpair", "shardpure", "statusmap", "metricname", "suppress"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())
 		}
@@ -61,7 +61,7 @@ func TestMainUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-// TestSuiteCoversProtocolAnalyzers pins the registration of the five
+// TestSuiteCoversProtocolAnalyzers pins the registration of the four
 // protocol-conformance analyzers into the default suite, which is what
 // TestRepoIsClean (and therefore `go test ./...`) runs. CI's self-check
 // step asserts this test executed; dropping an analyzer from
@@ -71,7 +71,7 @@ func TestSuiteCoversProtocolAnalyzers(t *testing.T) {
 	for _, a := range geacheck.Analyzers() {
 		names[a.Name] = true
 	}
-	for _, want := range []string{"spanpair", "shardpure", "commitlast", "statusmap", "metricname"} {
+	for _, want := range []string{"spanpair", "shardpure", "statusmap", "metricname"} {
 		if !names[want] {
 			t.Errorf("analyzer %q is not registered in the geacheck suite", want)
 		}
@@ -163,7 +163,7 @@ func Shed(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "shedding", http.StatusServiceUnavailable)
 }
 
-//lint:gea nopanic -- kept from an old revision of this file
+//lint:gea spanpair -- kept from an old revision of this file
 var Answer = 42
 
 //lint:gea locksafe
@@ -178,7 +178,7 @@ var Other = 43
 	if !strings.Contains(out, "suppresses statusmap -- load shedding") {
 		t.Errorf("live suppression not listed:\n%s", out)
 	}
-	if !strings.Contains(out, "STALE suppression of nopanic") {
+	if !strings.Contains(out, "STALE suppression of spanpair") {
 		t.Errorf("stale suppression not diagnosed:\n%s", out)
 	}
 	if !strings.Contains(out, "MALFORMED directive") {

@@ -14,7 +14,7 @@ import (
 // corpora with the real analyzer-name set the multichecker would use.
 func TestSuppressAnalyzer(t *testing.T) {
 	a := analysis.NewSuppressAnalyzer([]string{
-		"ctlcharge", "locksafe", "errwrap", "partialflag", "nopanic", "spanpair",
+		"ctlcharge", "locksafe", "errwrap", "spanpair", "shardpure", "statusmap", "metricname",
 	})
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {
@@ -41,10 +41,10 @@ func TestParseDirectives(t *testing.T) {
 		reason    string
 		malformed bool
 	}{
-		{"single", "//lint:gea nopanic -- fault injection", []string{"nopanic"}, "fault injection", false},
+		{"single", "//lint:gea spanpair -- fault injection", []string{"spanpair"}, "fault injection", false},
 		{"multi", "//lint:gea ctlcharge, locksafe -- bounded loop", []string{"ctlcharge", "locksafe"}, "bounded loop", false},
-		{"no reason", "//lint:gea nopanic", nil, "", true},
-		{"blank reason", "//lint:gea nopanic -- ", nil, "", true},
+		{"no reason", "//lint:gea spanpair", nil, "", true},
+		{"blank reason", "//lint:gea spanpair -- ", nil, "", true},
 		{"no names", "//lint:gea -- some reason", nil, "", true},
 		{"empty name in list", "//lint:gea a,,b -- reason", nil, "", true},
 	}
@@ -85,15 +85,15 @@ func TestParseDirectivesIgnoresOtherNamespaces(t *testing.T) {
 }
 
 func TestSuppressesScope(t *testing.T) {
-	_, dirs := parseOne(t, "package p\n\n//lint:gea nopanic -- deliberate\nvar X = 1\n")
+	_, dirs := parseOne(t, "package p\n\n//lint:gea spanpair -- deliberate\nvar X = 1\n")
 	if len(dirs) != 1 {
 		t.Fatalf("got %d directives, want 1", len(dirs))
 	}
 	d := dirs[0] // on line 3
-	if !d.Suppresses("nopanic", 3) || !d.Suppresses("nopanic", 4) {
+	if !d.Suppresses("spanpair", 3) || !d.Suppresses("spanpair", 4) {
 		t.Error("directive should cover its own line and the next")
 	}
-	if d.Suppresses("nopanic", 2) || d.Suppresses("nopanic", 5) {
+	if d.Suppresses("spanpair", 2) || d.Suppresses("spanpair", 5) {
 		t.Error("directive must not cover lines outside its two-line scope")
 	}
 	if d.Suppresses("ctlcharge", 4) {
@@ -105,11 +105,11 @@ func TestSuppressesScope(t *testing.T) {
 }
 
 func TestMalformedSuppressesNothing(t *testing.T) {
-	_, dirs := parseOne(t, "package p\n\n//lint:gea nopanic\nvar X = 1\n")
+	_, dirs := parseOne(t, "package p\n\n//lint:gea spanpair\nvar X = 1\n")
 	if len(dirs) != 1 || dirs[0].Malformed == "" {
 		t.Fatalf("want one malformed directive, got %+v", dirs)
 	}
-	if dirs[0].Suppresses("nopanic", 4) {
+	if dirs[0].Suppresses("spanpair", 4) {
 		t.Error("malformed directive must suppress nothing")
 	}
 }
@@ -122,20 +122,20 @@ func TestFilter(t *testing.T) {
 		return f
 	}
 	dirs := map[string][]analysis.Directive{
-		"a.go": {{Line: 10, Names: []string{"nopanic"}, Reason: "r"}},
+		"a.go": {{Line: 10, Names: []string{"spanpair"}, Reason: "r"}},
 	}
 	findings := []analysis.Finding{
-		mk("a.go", 11, "nopanic"), // silenced (line+1)
-		mk("a.go", 11, "errwrap"), // different analyzer
-		mk("a.go", 12, "nopanic"), // out of scope
-		mk("b.go", 11, "nopanic"), // different file
+		mk("a.go", 11, "spanpair"), // silenced (line+1)
+		mk("a.go", 11, "errwrap"),  // different analyzer
+		mk("a.go", 12, "spanpair"), // out of scope
+		mk("b.go", 11, "spanpair"), // different file
 	}
 	kept := analysis.Filter(findings, dirs)
 	if len(kept) != 3 {
 		t.Fatalf("kept %d findings, want 3: %v", len(kept), kept)
 	}
 	for _, f := range kept {
-		if f.Position.Filename == "a.go" && f.Position.Line == 11 && f.Analyzer == "nopanic" {
+		if f.Position.Filename == "a.go" && f.Position.Line == 11 && f.Analyzer == "spanpair" {
 			t.Error("suppressed finding survived the filter")
 		}
 	}

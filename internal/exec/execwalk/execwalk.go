@@ -22,7 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,7 +202,6 @@ func Walk(t *testing.T, tg Target) {
 		for _, k := range sample(totalChecks, tg.probes()) {
 			pctx := exec.WithHook(context.Background(), func(nth int64) {
 				if nth == k {
-					//lint:gea nopanic -- deliberate fault injection: the walk asserts Guard recovers this panic into *exec.ExecError
 					panic(boom{at: k})
 				}
 			})
@@ -381,17 +380,22 @@ func WalkSharded(t *testing.T, tg ShardedTarget) {
 		totalChecks := baseTr.Checkpoints
 		for _, w := range workers {
 			for _, k := range sample(totalChecks, tg.probes()) {
-				var seen atomic.Int64
-				var fired atomic.Bool
+				// One mutex spans the whole hook body, so cancel() has
+				// closed Done before any other worker's checkpoint gets
+				// past its hook: a worker racing the cancel cannot keep
+				// passing checkpoints that count against the bound.
+				var (
+					mu    sync.Mutex
+					seen  int64
+					fired bool
+				)
 				cctx, cancel := context.WithCancel(context.Background())
 				cctx = exec.WithHook(cctx, func(nth int64) {
-					for {
-						cur := seen.Load()
-						if nth <= cur || seen.CompareAndSwap(cur, nth) {
-							break
-						}
-					}
-					if nth >= k && fired.CompareAndSwap(false, true) {
+					mu.Lock()
+					defer mu.Unlock()
+					seen = max(seen, nth)
+					if nth >= k && !fired {
+						fired = true
 						cancel()
 					}
 				})
@@ -405,7 +409,10 @@ func WalkSharded(t *testing.T, tg ShardedTarget) {
 				// (plus the operator's own unwind slack) before it
 				// observes the stop.
 				bound := k + int64(w)*(tg.slack()+1)
-				if got := seen.Load(); got > bound {
+				mu.Lock()
+				got := seen
+				mu.Unlock()
+				if got > bound {
 					t.Fatalf("workers %d cancel at checkpoint %d: ran to checkpoint %d (bound %d)",
 						w, k, got, bound)
 				}

@@ -195,7 +195,8 @@ func settle(kids []*exec.Ctl, outs []outcome, bounds []int) (int, bool, error) {
 		}
 		switch {
 		case o.panicv != nil:
-			//lint:gea nopanic -- re-raising a worker panic on the caller goroutine so exec.Guard recovers it into a structured *exec.ExecError
+			// Re-raise the worker's panic on the caller goroutine, so
+			// exec.Guard recovers it into a structured *exec.ExecError.
 			panic(o.panicv)
 		case o.skipped:
 			// First stop was a shard that never ran: only a child born

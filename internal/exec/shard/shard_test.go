@@ -145,7 +145,6 @@ func TestForRepanicsOnCallerGoroutine(t *testing.T) {
 						return i - lo, err
 					}
 					if i == 42 {
-						//lint:gea nopanic -- deliberate fault injection: the test asserts the worker panic is re-raised for Guard
 						panic(boom{at: i})
 					}
 				}

@@ -30,8 +30,8 @@ const indexFile = "sageName.txt"
 
 // Load phases a Problem can surface in, named after the commit
 // protocol's boundary: everything inside a generation directory was
-// written before the CURRENT flip (the commitlast analyzer pins that
-// ordering), so the phase tells an operator whether the artifact never
+// written before the CURRENT flip (the crash walks pin that ordering),
+// so the phase tells an operator whether the artifact never
 // verified off disk or verified and then failed to decode.
 const (
 	// PhaseRead: the framed file failed atomicio verification — missing,

@@ -602,48 +602,47 @@ type CaseGroups struct {
 // fascicle is non-pure ... the analysis of this fascicle is terminated".
 func (s *System) FormSUM(fasName, datasetName string) (CaseGroups, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var g CaseGroups
 	r, err := s.fascicleLocked(fasName)
 	if err != nil {
-		return g, err
+		s.mu.Unlock()
+		return CaseGroups{}, err
 	}
 	d, err := s.datasetLocked(datasetName)
 	if err != nil {
-		return g, err
+		s.mu.Unlock()
+		return CaseGroups{}, err
 	}
 	if r.Enum.Data != d {
-		return g, fmt.Errorf("system: fascicle %s was mined on a different dataset than %q", fasName, datasetName)
+		s.mu.Unlock()
+		return CaseGroups{}, fmt.Errorf("system: fascicle %s was mined on a different dataset than %q", fasName, datasetName)
 	}
 	var inProp, outProp sage.Property
-	var inLabel, outLabel string
+	var inLabel, sameLabel, outLabel string
 	switch {
 	case r.Enum.IsPure(sage.PropCancer):
 		inProp, outProp = sage.PropCancer, sage.PropNormal
-		inLabel, outLabel = "CancerFasTbl", "NormalTable"
+		inLabel, sameLabel, outLabel = "CancerFasTbl", "CanNotInFasTbl", "NormalTable"
 	case r.Enum.IsPure(sage.PropNormal):
 		inProp, outProp = sage.PropNormal, sage.PropCancer
-		inLabel, outLabel = "NormalFasTbl", "CancerTable"
+		inLabel, sameLabel, outLabel = "NormalFasTbl", "NorNotInFasTbl", "CancerTable"
 	default:
-		return g, fmt.Errorf("system: fascicle %s is not pure; analysis terminated", fasName)
+		s.mu.Unlock()
+		return CaseGroups{}, fmt.Errorf("system: fascicle %s is not pure; analysis terminated", fasName)
 	}
-
+	g := CaseGroups{
+		InFascicle:        fasName + inLabel,
+		SameNotInFascicle: fasName + sameLabel,
+		Opposite:          fasName + outLabel,
+	}
 	// FormSUM is idempotent: if the three tables exist already (e.g. a
 	// later case study revisits the same fascicle), return them.
-	suffixProbe := "CanNotInFasTbl"
-	if inProp == sage.PropNormal {
-		suffixProbe = "NorNotInFasTbl"
+	done, err := s.caseGroupsLocked(g)
+	s.mu.Unlock()
+	if err != nil {
+		return CaseGroups{}, err
 	}
-	if _, err1 := s.sumyLocked(fasName + inLabel); err1 == nil {
-		if _, err2 := s.sumyLocked(fasName + suffixProbe); err2 == nil {
-			if _, err3 := s.sumyLocked(fasName + outLabel); err3 == nil {
-				return CaseGroups{
-					InFascicle:        fasName + inLabel,
-					SameNotInFascicle: fasName + suffixProbe,
-					Opposite:          fasName + outLabel,
-				}, nil
-			}
-		}
+	if done {
+		return g, nil
 	}
 
 	inFas := map[int]bool{}
@@ -660,46 +659,71 @@ func (s *System) FormSUM(fasName, datasetName string) (CaseGroups, error) {
 			oppRows = append(oppRows, i)
 		}
 	}
-
-	mk := func(label string, rows []int) (string, error) {
-		name := fasName + label
-		if err := s.checkFresh(name); err != nil {
-			return "", err
+	type group struct {
+		name, label string
+		rows        []int
+		enum        *core.Enum
+		sumy        *core.Sumy
+	}
+	groups := []*group{
+		{name: g.InFascicle, label: inLabel, rows: r.Fascicle.Rows},
+		{name: g.SameNotInFascicle, label: sameLabel, rows: sameRows},
+		{name: g.Opposite, label: outLabel, rows: oppRows},
+	}
+	// Aggregate outside the registry lock, so other session calls do not
+	// wait behind the three SUMYs.
+	for _, gr := range groups {
+		if gr.enum, err = core.NewEnum(gr.name+"Enum", d, gr.rows, r.Fascicle.CompactCols); err != nil {
+			return CaseGroups{}, err
 		}
-		e, err := core.NewEnum(name+"Enum", d, rows, r.Fascicle.CompactCols)
-		if err != nil {
-			return "", err
+		if gr.sumy, _, err = core.AggregateWith(exec.Background(), gr.name, gr.enum, core.AggregateOptions{}); err != nil {
+			return CaseGroups{}, err
 		}
-		sm, _, err := core.AggregateWith(exec.Background(), name, e, core.AggregateOptions{})
-		if err != nil {
-			return "", err
-		}
-		if _, err := s.Lineage.Record(name, lineage.KindSumy, "aggregate",
-			map[string]string{"libraries": fmt.Sprint(len(rows))}, fasName); err != nil {
-			return "", err
-		}
-		s.enums[name+"Enum"] = e
-		s.sumys[name] = sm
-		if err := s.recordSumCatalog(name, fasName, label, d, rows); err != nil {
-			return "", err
-		}
-		return name, nil
 	}
 
-	if g.InFascicle, err = mk(inLabel, r.Fascicle.Rows); err != nil {
-		return g, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// A racing FormSUM on the same fascicle may have registered the
+	// tables while these aggregated; its tables are the answer.
+	if done, err := s.caseGroupsLocked(g); err != nil {
+		return CaseGroups{}, err
+	} else if done {
+		return g, nil
 	}
-	suffix := "CanNotInFasTbl"
-	if inProp == sage.PropNormal {
-		suffix = "NorNotInFasTbl"
-	}
-	if g.SameNotInFascicle, err = mk(suffix, sameRows); err != nil {
-		return g, err
-	}
-	if g.Opposite, err = mk(outLabel, oppRows); err != nil {
-		return g, err
+	for _, gr := range groups {
+		if _, err := s.Lineage.Record(gr.name, lineage.KindSumy, "aggregate",
+			map[string]string{"libraries": fmt.Sprint(len(gr.rows))}, fasName); err != nil {
+			return CaseGroups{}, err
+		}
+		s.enums[gr.name+"Enum"] = gr.enum
+		s.sumys[gr.name] = gr.sumy
+		if err := s.recordSumCatalog(gr.name, fasName, gr.label, d, gr.rows); err != nil {
+			return CaseGroups{}, err
+		}
 	}
 	return g, nil
+}
+
+// caseGroupsLocked reports whether all three of g's SUMY tables are
+// registered already. It fails with ErrExists when only some of the
+// names are taken, since FormSUM would then collide part way through.
+func (s *System) caseGroupsLocked(g CaseGroups) (bool, error) {
+	names := []string{g.InFascicle, g.SameNotInFascicle, g.Opposite}
+	registered := 0
+	for _, n := range names {
+		if _, err := s.sumyLocked(n); err == nil {
+			registered++
+		}
+	}
+	if registered == len(names) {
+		return true, nil
+	}
+	for _, n := range names {
+		if err := s.checkFresh(n); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
 }
 
 func (s *System) recordSumCatalog(name, fasName, category string, d *sage.Dataset, rows []int) error {
@@ -1007,32 +1031,58 @@ func (s *System) DropContents(name string) error {
 }
 
 // Regenerate rebuilds a content-dropped table (and any dropped tables it
-// depends on) by replaying the operations recorded in the lineage.
+// depends on) by replaying the operations recorded in the lineage. Each
+// replay reads its inputs under the registry lock, recomputes unlocked and
+// registers its result under the lock again.
 func (s *System) Regenerate(name string) (*core.Gap, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	plan, err := s.Lineage.RegenerationPlan(name)
+	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	for _, node := range plan {
-		if !node.ContentsDropped {
-			continue
-		}
-		g, err := s.replay(node)
-		if err != nil {
-			return nil, fmt.Errorf("system: regenerating %q: %v", node.Name, err)
-		}
-		s.gaps[node.Name] = g
-		if err := s.Lineage.MarkRegenerated(node.Name); err != nil {
+		if err := s.regenerateNode(node); err != nil {
 			return nil, err
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.gapLocked(name)
 }
 
-// replay re-executes one recorded operation.
-func (s *System) replay(node *lineage.Node) (*core.Gap, error) {
+// regenerateNode replays one plan node if its contents are still
+// dropped. A racing Regenerate of the same node registers the same gap.
+func (s *System) regenerateNode(node *lineage.Node) error {
+	s.mu.Lock()
+	if !node.ContentsDropped {
+		s.mu.Unlock()
+		return nil
+	}
+	run, err := s.replayLocked(node)
+	s.mu.Unlock()
+	var g *core.Gap
+	if err == nil {
+		g, err = run()
+	}
+	if err != nil {
+		return fmt.Errorf("system: regenerating %q: %v", node.Name, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The node may have been deleted while it recomputed; then there is
+	// nothing to register.
+	if err := s.Lineage.MarkRegenerated(node.Name); err != nil {
+		return err
+	}
+	s.gaps[node.Name] = g
+	return nil
+}
+
+// replayLocked looks up the inputs of one recorded operation and returns
+// the closure that re-executes it; the caller holds s.mu and runs the
+// closure after releasing it.
+func (s *System) replayLocked(node *lineage.Node) (func() (*core.Gap, error), error) {
 	switch {
 	case node.Operation == "diff":
 		if len(node.Inputs) != 2 {
@@ -1046,8 +1096,10 @@ func (s *System) replay(node *lineage.Node) (*core.Gap, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, _, err := core.DiffWith(exec.Background(), node.Name, a, b)
-		return g, err
+		return func() (*core.Gap, error) {
+			g, _, err := core.DiffWith(exec.Background(), node.Name, a, b)
+			return g, err
+		}, nil
 	case node.Operation == "topgap":
 		if len(node.Inputs) != 1 {
 			return nil, fmt.Errorf("topgap needs 1 input, recorded %d", len(node.Inputs))
@@ -1060,7 +1112,7 @@ func (s *System) replay(node *lineage.Node) (*core.Gap, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.TopGaps(node.Name, g, 0, x)
+		return func() (*core.Gap, error) { return core.TopGaps(node.Name, g, 0, x) }, nil
 	case strings.HasPrefix(node.Operation, "compare-"):
 		if len(node.Inputs) != 2 {
 			return nil, fmt.Errorf("compare needs 2 inputs, recorded %d", len(node.Inputs))
@@ -1084,7 +1136,7 @@ func (s *System) replay(node *lineage.Node) (*core.Gap, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.Compare(node.Name, a, b, op)
+		return func() (*core.Gap, error) { return core.Compare(node.Name, a, b, op) }, nil
 	default:
 		return nil, fmt.Errorf("operation %q is not replayable", node.Operation)
 	}

@@ -2,6 +2,8 @@ package system
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"gea/internal/core"
@@ -412,6 +414,84 @@ func TestRegenerateCompare(t *testing.T) {
 	if got.Len() != orig.Len() || len(got.Cols) != len(orig.Cols) {
 		t.Errorf("regenerated compare differs: %dx%d vs %dx%d",
 			got.Len(), len(got.Cols), orig.Len(), len(orig.Cols))
+	}
+}
+
+// TestFormSUMRegenerateConcurrent races two FormSUMs on one fascicle,
+// then a Regenerate beside CreateGap calls. Both compute outside the
+// registry lock, so under -race this pins that they share no state
+// unsafely, and that the FormSUM losing the race returns the winner's
+// tables.
+func TestFormSUMRegenerateConcurrent(t *testing.T) {
+	sys, _ := newSystem(t)
+	if _, err := sys.CreateTissueDataset("brain"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.GenerateMetadata("brain", 10); err != nil {
+		t.Fatal(err)
+	}
+	pure, err := sys.FindPureFascicle("brain", sage.PropCancer, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var groups [2]CaseGroups
+	var errs [2]error
+	for i := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			groups[i], errs[i] = sys.FormSUM(pure, "brain")
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("FormSUM %d: %v", i, err)
+		}
+	}
+	if groups[0] != groups[1] {
+		t.Fatalf("racing FormSUMs returned %+v and %+v", groups[0], groups[1])
+	}
+	g := groups[0]
+
+	if _, err := sys.CreateGap("raceGap", g.InFascicle, g.Opposite); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.CalculateTopGap("raceGap", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"raceGap", "raceGap_5"} {
+		if err := sys.DropContents(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var regenerated *core.Gap
+	var regenErr error
+	gapErrs := make([]error, 3)
+	wg.Add(1 + len(gapErrs))
+	go func() {
+		defer wg.Done()
+		regenerated, regenErr = sys.Regenerate("raceGap_5")
+	}()
+	for i := range gapErrs {
+		go func() {
+			defer wg.Done()
+			_, gapErrs[i] = sys.CreateGap(fmt.Sprintf("raceSide%d", i), g.InFascicle, g.SameNotInFascicle)
+		}()
+	}
+	wg.Wait()
+	if regenErr != nil {
+		t.Fatalf("Regenerate: %v", regenErr)
+	}
+	if regenerated.Len() != want.Len() {
+		t.Errorf("regenerated top gap has %d rows, want %d", regenerated.Len(), want.Len())
+	}
+	for i, err := range gapErrs {
+		if err != nil {
+			t.Errorf("CreateGap %d beside Regenerate: %v", i, err)
+		}
 	}
 }
 
