@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
+	"sort"
 	"testing"
 
 	"gea"
@@ -53,6 +55,33 @@ func FuzzSessionRun(f *testing.F) {
 		case rr.Code == http.StatusRequestEntityTooLarge && len(body) > maxSessionBody:
 		default:
 			t.Fatalf("run %s = %d: %s", body, rr.Code, rr.Body.String())
+		}
+	})
+}
+
+// FuzzMineQuery sends GET /mine with fuzzed raw tissue and priority
+// values, URL-encoded so that any string makes a valid request, to a
+// server whose work budget stops a real tissue's search early. The
+// reply is a result or a budget partial (200) or a caller fault (400),
+// never a server fault.
+func FuzzMineQuery(f *testing.F) {
+	gw, mux := sessionMux(f, serveOptions{limits: gea.ExecLimits{Budget: fuzzRunBudget}})
+	var tissues []string
+	for tissue := range gw.sys.TissueTypes() {
+		tissues = append(tissues, tissue)
+	}
+	sort.Strings(tissues)
+	f.Add("", "")
+	f.Add("noSuchTissue", "")
+	for _, tissue := range tissues {
+		f.Add(tissue, "")
+	}
+	f.Add(tissues[0], "low")
+	f.Fuzz(func(t *testing.T, tissue, priority string) {
+		q := url.Values{"tissue": {tissue}, "priority": {priority}}
+		rr := do(t, mux, http.MethodGet, "/mine?"+q.Encode(), "")
+		if rr.Code != http.StatusOK && rr.Code != http.StatusBadRequest {
+			t.Fatalf("/mine?%s = %d: %s", q.Encode(), rr.Code, rr.Body.String())
 		}
 	})
 }

@@ -22,14 +22,17 @@ import (
 )
 
 // This file implements "gea serve": the HTTP front door over a session,
-// built to stay up under overload. Every /mine request passes through the
-// session's bounded admission queue: a queue-timeout surfaces as 429 with
-// Retry-After, a full queue as an immediate 503 with Retry-After, and
-// while the queue is degraded request budgets are shrunk so callers get
-// flagged partials instead of timeouts. /healthz reports the load state,
-// SIGTERM drains gracefully, and with -debug the server also exposes the
-// collected spans and metrics (/debug/spans, /debug/metrics) and the
-// standard expvar dump (/debug/vars) the registry publishes into.
+// built to stay up under overload. /mine and every session run are
+// read-only queries over one corpus generation, answered through
+// System.CachedQueryCtx: each passes the session's bounded admission
+// queue (a queue-timeout surfaces as 429 with Retry-After, a full queue
+// as an immediate 503 with Retry-After), and once admitted, a request
+// in a degraded queue or from a tenant past its envelope has its budget
+// shrunk so callers get flagged partials instead of timeouts. /healthz
+// reports the load state, SIGTERM drains gracefully, and with -debug
+// the server also exposes the collected spans and metrics
+// (/debug/spans, /debug/metrics) and the standard expvar dump
+// (/debug/vars) the registry publishes into.
 
 // serveOptions is the per-server request policy.
 type serveOptions struct {
@@ -135,12 +138,15 @@ type mineResponse struct {
 	Note      string `json:"note,omitempty"`
 }
 
-// handleMine runs the tissue pipeline (dataset, metadata, governed
-// pure-fascicle search) with the request's context, recording spans and
-// metrics into the server's collector. A missing or unknown tissue is a
-// 400, and shedding or draining a 503 with Retry-After. Budget stops are
-// 200s with the partial flagged — that is the degraded mode working as
-// designed — and a cancellation answers its JSON body as a 503 with
+// handleMine answers the pure-fascicle search for one tissue as a
+// snapshot query: System.CachedQueryCtx runs gea.PureQuery with the
+// request's context, recording spans and metrics into the server's
+// collector, so /mine takes the session path's admission, budget
+// shaping, tenant charging, single-flight and result cache, and writes
+// nothing to the session's registries. A missing or unknown tissue is a
+// 400, and shedding or draining a 503 with Retry-After. Budget stops
+// are 200s with the partial flagged — that is the degraded mode working
+// as designed — and a cancellation answers its JSON body as a 503 with
 // Retry-After. writeError maps every other error.
 func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 	n := gw.reqSeq.Add(1)
@@ -160,23 +166,9 @@ func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Saturated sheds non-essential work before it ever queues.
-	state := gw.sys.AdmissionState()
-	if state == gea.AdmissionSaturated && r.URL.Query().Get("priority") == "low" {
+	if gw.sys.AdmissionState() == gea.AdmissionSaturated && r.URL.Query().Get("priority") == "low" {
 		w.Header().Set("Retry-After", retryAfterSeconds(gw.sys.AdmissionStats().AvgHold))
 		http.Error(w, "saturated: low-priority request shed", http.StatusServiceUnavailable)
-		return
-	}
-	// Re-mining a tissue reuses the dataset already in the session; any
-	// other creation failure is the server's fault, not the caller's.
-	if _, err := gw.sys.CreateTissueDataset(tissue); err != nil {
-		var exists gea.ErrExists
-		if !errors.As(err, &exists) {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	if err := gw.sys.GenerateMetadata(tissue, 10); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 
@@ -189,29 +181,25 @@ func (gw *gateway) handleMine(w http.ResponseWriter, r *http.Request) {
 	ctx = gea.WithObsCollector(ctx, gw.trace)
 	ctx = gea.WithExecHook(ctx, gw.faults.wrap(n, gw.trace.ExecHook()))
 
-	// Budgets are shaped from the load state observed at entry so one
-	// request sees one consistent policy: the fleet-wide queue state
-	// first, then the tenant's own envelope — a heavy tenant degrades
-	// itself before the fleet degrades everyone.
-	tenant := tenantOf(r)
-	lim, state, throttled := gw.sys.ShapeLimitsFor(tenant, gw.opts.limits)
-	pure, tr, err := gw.sys.FindPureFascicleCtx(ctx, tissue, gea.PropCancer, 3, gea.LatticeAlgorithm, lim)
-	gw.sys.ChargeTenant(tenant, tr.Units)
+	q := gea.PureQuery{Tissue: tissue, TolerancePct: 10, Prop: gea.PropCancer, MinSize: 3, Algorithm: gea.LatticeAlgorithm}
+	qr, err := gw.sys.CachedQueryCtx(ctx, tenantOf(r), "serve.mine", q, gw.opts.limits, q.Compute)
 	resp := mineResponse{
-		Tissue: tissue, Fascicle: pure, Units: tr.Units, Partial: tr.Partial,
-		State: state.String(), Degraded: state != gea.AdmissionHealthy,
-		Throttled: throttled,
+		Tissue: tissue, Units: qr.Units, Partial: qr.Partial,
+		State: qr.State.String(), Degraded: qr.State != gea.AdmissionHealthy,
+		Throttled: qr.Throttled,
 	}
 	switch {
 	case err == nil:
+		resp.Fascicle = qr.Value.(string)
 	case gea.IsBudget(err):
-		// The work budget (possibly shrunk by degraded mode) ran out:
-		// a flagged partial, not a failure.
-		resp.Partial = true
+		// The work budget (possibly shrunk by degraded mode) ran out
+		// before a pure fascicle appeared: a flagged partial, not a
+		// failure.
+		resp.Units, resp.Partial = qr.Trace.Units, true
 		resp.Note = "stopped by the work budget"
 	case gea.IsCancellation(err):
 		// The request deadline (or the client) cancelled mid-work.
-		resp.Note = "cancelled"
+		resp.Units, resp.Note = qr.Trace.Units, "cancelled"
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, resp)
 		return

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -163,5 +165,94 @@ func TestServeIngestSchemaError400(t *testing.T) {
 	}
 	if !strings.Contains(rr.Body.String(), "ingest: schema") {
 		t.Errorf("400 body %q does not carry the typed schema error", rr.Body.String())
+	}
+}
+
+// TestServeMineAfterAppends pins /mine as a query over the live
+// generation. After two appends an ingest server names the fascicle a
+// fresh server over the concatenated corpus names, at the same units;
+// an identical repeat reports those units again; and no /mine changes
+// the session's lineage nodes or catalog rows.
+func TestServeMineAfterAppends(t *testing.T) {
+	batches, res, err := gea.EmitBatches(gea.SmallConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, corpus, _, err := gea.OpenIngestStore(gea.OSFS, t.TempDir(), gea.DefaultIngestRetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := gea.NewSystem(corpus, gea.SystemOptions{User: "ingest-test",
+		Ingest:      &gea.SystemIngestOptions{Store: st},
+		ResultCache: &gea.ResultCacheOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mux := newServeMux(sys, gea.NewObsCollector(), serveOptions{ingest: true})
+
+	// registry renders the session's lineage nodes and catalog row
+	// counts, which a read-only /mine must leave alone.
+	registry := func(sys *gea.System) string {
+		var b strings.Builder
+		fmt.Fprintln(&b, sys.Lineage.Names())
+		for _, name := range sys.Store.Names() {
+			tbl, err := sys.Store.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s=%d ", name, tbl.Len())
+		}
+		return b.String()
+	}
+	mine := func(sys *gea.System, mux *http.ServeMux) mineResponse {
+		t.Helper()
+		before := registry(sys)
+		rr := get(t, mux, "/mine?tissue=brain")
+		if rr.Code != http.StatusOK {
+			t.Fatalf("/mine?tissue=brain = %d: %s", rr.Code, rr.Body.String())
+		}
+		var resp mineResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Fascicle == "" || resp.Partial {
+			t.Fatalf("/mine found no full result: %+v", resp)
+		}
+		if after := registry(sys); after != before {
+			t.Errorf("/mine changed the session registry:\nbefore %s\nafter  %s", before, after)
+		}
+		return resp
+	}
+	appendBatch := func(i int) {
+		t.Helper()
+		var body bytes.Buffer
+		if err := gea.EncodeIngestBatch(&body, gea.IngestBatchFromLibraries(batches[i])); err != nil {
+			t.Fatal(err)
+		}
+		if rr := post(t, mux, "/ingest", body.String()); rr.Code != http.StatusOK {
+			t.Fatalf("/ingest batch %d = %d: %s", i, rr.Code, rr.Body.String())
+		}
+	}
+
+	appendBatch(0)
+	mine(sys, mux)
+	appendBatch(1)
+	appendBatch(2)
+	got := mine(sys, mux)
+	again := mine(sys, mux)
+
+	fresh, err := gea.NewSystem(res.Corpus, gea.SystemOptions{User: "fresh-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, freshMux := newServeMux(fresh, gea.NewObsCollector(), serveOptions{})
+	want := mine(fresh, freshMux)
+	if got.Fascicle != want.Fascicle || got.Units != want.Units {
+		t.Errorf("after appends /mine = %s at %d units, fresh server = %s at %d units",
+			got.Fascicle, got.Units, want.Fascicle, want.Units)
+	}
+	if again.Fascicle != got.Fascicle || again.Units != got.Units {
+		t.Errorf("repeated /mine = %s at %d units, first = %s at %d units",
+			again.Fascicle, again.Units, got.Fascicle, got.Units)
 	}
 }

@@ -131,14 +131,15 @@ func TestServe503QueueFull(t *testing.T) {
 	}
 }
 
-// TestServeDegradedPartial pins graceful degradation: once the queue
-// tips into degraded, an otherwise-unlimited request runs under the
-// DegradedBudget cap and returns a flagged partial instead of holding
-// its slot to completion.
+// TestServeDegradedPartial pins graceful degradation: a request
+// admitted while the queue is degraded runs an otherwise-unlimited
+// search under the DegradedBudget cap and returns a flagged partial
+// instead of holding its slot to completion. MaxQueue 2 puts the
+// degrade depth at 1 and the saturate depth at 2.
 func TestServeDegradedPartial(t *testing.T) {
 	sys := overloadSystem(t, gea.SystemOptions{
-		MaxConcurrent: 1, MaxQueue: 8, AdmitTimeout: 10 * time.Second,
-		DegradeAtDepth: 1, DegradedBudget: 3,
+		MaxConcurrent: 1, MaxQueue: 2, AdmitTimeout: 10 * time.Second,
+		DegradedBudget: 3, ResultCache: &gea.ResultCacheOptions{},
 	})
 	gw, mux := newServeMux(sys, gea.NewObsCollector(), serveOptions{})
 	release := make(chan struct{})
@@ -152,8 +153,8 @@ func TestServeDegradedPartial(t *testing.T) {
 		t.Fatalf("state at depth 1 = %v, want degraded", st)
 	}
 	// A fresh tissue, so the governed search does real mining instead
-	// of hitting the session's found-pure cache.
-	third := goGet(mux, "/mine?tissue=breast") // enters degraded: budget capped at 3
+	// of hitting the result cache.
+	third := goGet(mux, "/mine?tissue=breast") // admitted degraded: budget capped at 3
 	waitQueueDepth(t, sys, 2)
 	close(release)
 
@@ -165,9 +166,11 @@ func TestServeDegradedPartial(t *testing.T) {
 		t.Fatalf("second request = %d: %s", rr.Code, rr.Body.String())
 	} else if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
-	} else if resp.Degraded || resp.Fascicle == "" {
-		// Second request shaped its budget while still healthy.
-		t.Fatalf("second request unexpectedly degraded: %+v", resp)
+	} else if !resp.Degraded || resp.Partial || resp.Fascicle == "" {
+		// Admitted while the third request still waits, the second
+		// request shapes its budget in a non-healthy queue, and the
+		// result cache answers it with the first request's full result.
+		t.Fatalf("second request not a degraded full cache hit: %+v", resp)
 	}
 	rr := <-third
 	if rr.Code != http.StatusOK {

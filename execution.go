@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"gea/internal/admission"
-	"gea/internal/cluster"
 	"gea/internal/exec"
 	"gea/internal/fascicle"
 	"gea/internal/system"
@@ -30,17 +29,11 @@ type (
 	// ExecTrace reports what a governed call did: units charged,
 	// checkpoints passed, and whether the result is partial.
 	ExecTrace = exec.Trace
-	// ExecError is a structured failure from a governed operator: the
-	// operator name, the lineage node involved, and — for recovered
-	// panics — the panic value and stack.
-	ExecError = exec.ExecError
 	// ExecHook observes checkpoints; install with WithExecHook for
 	// deterministic fault injection (the execwalk test driver).
 	ExecHook = exec.Hook
 	// FascicleParamError is a typed mining-parameter rejection.
 	FascicleParamError = fascicle.ParamError
-	// ClusterParamError is a typed clustering-parameter rejection.
-	ClusterParamError = cluster.ParamError
 	// ErrBusy reports that a System operation gave up waiting for an
 	// admission slot.
 	ErrBusy = system.ErrBusy
@@ -48,22 +41,17 @@ type (
 	// immediately because the admission queue was full; it carries
 	// retry-after advice.
 	ErrOverload = admission.ErrOverload
-	// AdmissionState is the session's load-shedding state (healthy,
-	// degraded, saturated); see System.AdmissionState and ShapeLimits.
-	AdmissionState = admission.State
 	// AdmissionStats is the point-in-time admission queue snapshot
 	// System.AdmissionStats returns, JSON-ready for health endpoints.
 	AdmissionStats = admission.Stats
 )
 
 var (
-	// ErrWorkBudget is the sentinel inside budget-exhaustion errors (a
-	// budget stop on a collection-valued operator is NOT an error — the
-	// partial result is returned flagged; this sentinel appears only
-	// where no partial value exists, e.g. FindPureFascicleCtx).
-	ErrWorkBudget = exec.ErrBudget
 	// IsCancellation reports whether an error is a context cancellation
-	// or deadline expiry; IsBudget reports budget exhaustion.
+	// or deadline expiry; IsBudget reports budget exhaustion (a budget
+	// stop on a collection-valued operator is NOT an error — the
+	// partial result is returned flagged; only a search with no
+	// partial value, such as FindPureFascicleCtx, fails with one).
 	IsCancellation = exec.IsCancellation
 	IsBudget       = exec.IsBudget
 	// WithExecHook returns a context whose governed operators call the
@@ -89,7 +77,6 @@ func Run[R any](ctx context.Context, lim ExecLimits, op, node string, fn func(*C
 const (
 	DefaultMaxConcurrent = system.DefaultMaxConcurrent
 	DefaultMaxQueue      = system.DefaultMaxQueue
-	DefaultAdmitTimeout  = system.DefaultAdmitTimeout
 )
 
 // Admission load states, re-exported for matching against

@@ -54,6 +54,10 @@ const (
 // samples dominate within a handful of observations.
 const ewmaAlpha = 0.3
 
+// degradeFactor scales explicit request budgets while the queue is
+// Degraded or Saturated, and a throttled tenant's (see Tenants.Shape).
+const degradeFactor = 0.25
+
 // State is the queue's load-shedding state.
 type State int
 
@@ -87,6 +91,12 @@ func (s State) MarshalJSON() ([]byte, error) {
 }
 
 // Options configures a Queue; the zero value selects the defaults.
+//
+// The load-shedding thresholds derive from MaxQueue and AdmitTimeout:
+// Healthy tips into Degraded at queue depth max(1, MaxQueue/2), or when
+// the recent-average admission wait reaches AdmitTimeout/2 (never when
+// AdmitTimeout is zero), and into Saturated at depth 9*MaxQueue/10, at
+// least one above the degrade depth and at most MaxQueue.
 type Options struct {
 	// MaxActive bounds concurrently admitted operations; zero means
 	// DefaultMaxActive.
@@ -97,20 +107,6 @@ type Options struct {
 	// with *ErrTimeout. Zero disables the timer: waiters leave only on
 	// admission, context death or shutdown.
 	AdmitTimeout time.Duration
-	// DegradeAtDepth is the queue depth at which Healthy tips into
-	// Degraded; zero means max(1, MaxQueue/2).
-	DegradeAtDepth int
-	// SaturateAtDepth is the queue depth at which the state tips into
-	// Saturated; zero means 9*MaxQueue/10, at least DegradeAtDepth+1,
-	// clamped to MaxQueue.
-	SaturateAtDepth int
-	// DegradeWait is the recent-average admission wait at which
-	// Healthy tips into Degraded even with a shallow queue; zero means
-	// AdmitTimeout/2 (or disabled when AdmitTimeout is zero too).
-	DegradeWait time.Duration
-	// DegradeFactor scales explicit request budgets while Degraded or
-	// Saturated; zero means 0.25, values above 1 clamp to 1.
-	DegradeFactor float64
 	// DegradedBudget caps otherwise-unlimited request budgets while
 	// Degraded or Saturated; zero leaves unlimited budgets unlimited.
 	DegradedBudget int64
@@ -180,7 +176,6 @@ type Queue struct {
 	degradeAt      int
 	saturateAt     int
 	degradeWait    time.Duration
-	degradeFactor  float64
 	degradedBudget int64
 	m              meters
 
@@ -210,42 +205,15 @@ func New(opts Options) *Queue {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = DefaultMaxQueue
 	}
-	degradeAt := opts.DegradeAtDepth
-	if degradeAt <= 0 {
-		degradeAt = opts.MaxQueue / 2
-		if degradeAt < 1 {
-			degradeAt = 1
-		}
-	}
-	saturateAt := opts.SaturateAtDepth
-	if saturateAt <= 0 {
-		saturateAt = opts.MaxQueue * 9 / 10
-		if saturateAt <= degradeAt {
-			saturateAt = degradeAt + 1
-		}
-		if saturateAt > opts.MaxQueue {
-			saturateAt = opts.MaxQueue
-		}
-	}
-	degradeWait := opts.DegradeWait
-	if degradeWait <= 0 {
-		degradeWait = opts.AdmitTimeout / 2
-	}
-	factor := opts.DegradeFactor
-	if factor <= 0 {
-		factor = 0.25
-	}
-	if factor > 1 {
-		factor = 1
-	}
+	degradeAt := max(1, opts.MaxQueue/2)
+	saturateAt := min(max(opts.MaxQueue*9/10, degradeAt+1), opts.MaxQueue)
 	q := &Queue{
 		maxActive:      opts.MaxActive,
 		maxQueue:       opts.MaxQueue,
 		admitTimeout:   opts.AdmitTimeout,
 		degradeAt:      degradeAt,
 		saturateAt:     saturateAt,
-		degradeWait:    degradeWait,
-		degradeFactor:  factor,
+		degradeWait:    opts.AdmitTimeout / 2,
 		degradedBudget: opts.DegradedBudget,
 		drained:        make(chan struct{}),
 	}
@@ -480,32 +448,22 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 
 // Shape applies the load-shedding policy to a request's limits and
 // reports the state it applied: Degraded and Saturated shrink explicit
-// budgets by DegradeFactor and cap unlimited budgets at
-// DegradedBudget, so overloaded requests finish early with flagged
-// partials instead of holding slots until they time out.
+// budgets to a quarter and cap unlimited budgets at DegradedBudget, so
+// overloaded requests finish early with flagged partials instead of
+// holding slots until they time out.
 func (q *Queue) Shape(lim exec.Limits) (exec.Limits, State) {
 	q.mu.Lock()
 	st := q.state
 	q.mu.Unlock()
-	return q.shapeFor(lim, st), st
-}
-
-// shapeFor is Shape against an already-observed state, for callers
-// that pinned the state at enqueue time.
-func (q *Queue) shapeFor(lim exec.Limits, st State) exec.Limits {
 	if st == Healthy {
-		return lim
+		return lim, st
 	}
 	if lim.Budget > 0 {
-		b := int64(float64(lim.Budget) * q.degradeFactor)
-		if b < 1 {
-			b = 1
-		}
-		lim.Budget = b
+		lim.Budget = max(1, int64(float64(lim.Budget)*degradeFactor))
 	} else if q.degradedBudget > 0 {
 		lim.Budget = q.degradedBudget
 	}
-	return lim
+	return lim, st
 }
 
 // State reports the current load state.

@@ -69,8 +69,10 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 				return
 			}
 			order <- i
-			waited <- struct{}{}
+			// Release before signalling, so the idle check after the
+			// last signal cannot see this slot still held.
 			rel()
+			waited <- struct{}{}
 		}(i, tk)
 	}
 
@@ -245,9 +247,10 @@ func TestAdmissionShutdown(t *testing.T) {
 
 // TestAdmissionStateMachine drives the queue through
 // healthy → degraded → saturated → healthy purely by queue depth and
-// checks the hysteresis plus the idle reset.
+// checks the hysteresis plus the idle reset. MaxQueue 5 puts the
+// degrade depth at 2 and the saturate depth at 4.
 func TestAdmissionStateMachine(t *testing.T) {
-	q := New(Options{MaxActive: 1, MaxQueue: 8, DegradeAtDepth: 2, SaturateAtDepth: 4})
+	q := New(Options{MaxActive: 1, MaxQueue: 5})
 	if q.State() != Healthy {
 		t.Fatalf("fresh queue state = %v", q.State())
 	}
@@ -267,8 +270,8 @@ func TestAdmissionStateMachine(t *testing.T) {
 		t.Fatalf("depth 4: state %v, want saturated", q.State())
 	}
 
-	// Cancel three waiters: depth 1 < DegradeAtDepth recovers only to
-	// degraded (saturated never skips straight to healthy).
+	// Cancel three waiters: depth 1 < the degrade depth recovers only
+	// to degraded (saturated never skips straight to healthy).
 	for _, tk := range tickets[1:] {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -298,7 +301,7 @@ func TestAdmissionStateMachine(t *testing.T) {
 // TestAdmissionShape checks budget shaping: healthy passes through,
 // degraded shrinks explicit budgets and caps unlimited ones.
 func TestAdmissionShape(t *testing.T) {
-	q := New(Options{MaxActive: 1, DegradeFactor: 0.25, DegradedBudget: 7})
+	q := New(Options{MaxActive: 1, DegradedBudget: 7})
 	lim, st := q.Shape(exec.Limits{Budget: 100, Workers: 3})
 	if st != Healthy || lim.Budget != 100 || lim.Workers != 3 {
 		t.Fatalf("healthy shape: %+v state %v", lim, st)

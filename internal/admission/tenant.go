@@ -9,15 +9,9 @@ import (
 	"gea/internal/obs"
 )
 
-// Tenant-level shaping defaults.
-const (
-	// DefaultTenantWindow is the decay horizon for a tenant's work
-	// debt: an idle tenant sheds one full envelope of debt per window.
-	DefaultTenantWindow = 10 * time.Second
-	// DefaultTenantDegradeFactor scales a throttled tenant's explicit
-	// budgets, mirroring the queue-wide DegradeFactor default.
-	DefaultTenantDegradeFactor = 0.25
-)
+// DefaultTenantWindow is the decay horizon for a tenant's work debt: an
+// idle tenant sheds one full envelope of debt per window.
+const DefaultTenantWindow = 10 * time.Second
 
 // TenantPolicy configures a Tenants governor; the zero value of every
 // field selects its default.
@@ -30,12 +24,6 @@ type TenantPolicy struct {
 	// Window is the decay horizon for debt; zero means
 	// DefaultTenantWindow.
 	Window time.Duration
-	// DegradeFactor scales a throttled tenant's explicit budgets; zero
-	// means DefaultTenantDegradeFactor, values above 1 clamp to 1.
-	DegradeFactor float64
-	// DegradedBudget caps a throttled tenant's otherwise-unlimited
-	// budgets; zero means the envelope itself.
-	DegradedBudget int64
 	// Metrics optionally records the tenant.* series; nil disables
 	// instrumentation.
 	Metrics *obs.Registry
@@ -54,19 +42,17 @@ type tenantState struct {
 // heavy tenant degrade itself before it degrades the fleet. Each
 // tenant carries a leaky-bucket work debt; while the debt is at or
 // above the envelope, that tenant's requests are shaped exactly like
-// queue-wide degradation — explicit budgets scaled down, unlimited
-// budgets capped — so its operations finish early with flagged
-// partials while everyone else runs at full budget.
+// queue-wide degradation — explicit budgets scaled to a quarter,
+// unlimited budgets capped at the envelope — so its operations finish
+// early with flagged partials while everyone else runs at full budget.
 //
 // A nil *Tenants is a valid no-op governor: every method is
 // nil-receiver safe, so callers never branch on whether tenant shaping
 // is configured.
 type Tenants struct {
-	envelope       int64
-	window         time.Duration
-	degradeFactor  float64
-	degradedBudget int64
-	now            func() time.Time
+	envelope int64
+	window   time.Duration
+	now      func() time.Time
 
 	charge, throttled *obs.Counter
 	known             *obs.Gauge
@@ -84,26 +70,15 @@ func NewTenants(pol TenantPolicy) *Tenants {
 	if pol.Window <= 0 {
 		pol.Window = DefaultTenantWindow
 	}
-	if pol.DegradeFactor <= 0 {
-		pol.DegradeFactor = DefaultTenantDegradeFactor
-	}
-	if pol.DegradeFactor > 1 {
-		pol.DegradeFactor = 1
-	}
-	if pol.DegradedBudget <= 0 {
-		pol.DegradedBudget = pol.Envelope
-	}
 	r := pol.Metrics
 	return &Tenants{
-		envelope:       pol.Envelope,
-		window:         pol.Window,
-		degradeFactor:  pol.DegradeFactor,
-		degradedBudget: pol.DegradedBudget,
-		now:            time.Now,
-		charge:         r.Counter("tenant.charged_units"),
-		throttled:      r.Counter("tenant.throttled"),
-		known:          r.Gauge("tenant.known"),
-		by:             map[string]*tenantState{},
+		envelope:  pol.Envelope,
+		window:    pol.Window,
+		now:       time.Now,
+		charge:    r.Counter("tenant.charged_units"),
+		throttled: r.Counter("tenant.throttled"),
+		known:     r.Gauge("tenant.known"),
+		by:        map[string]*tenantState{},
 	}
 }
 
@@ -158,13 +133,9 @@ func (t *Tenants) Shape(tenant string, lim exec.Limits) (exec.Limits, bool) {
 	}
 	t.throttled.Add(1)
 	if lim.Budget > 0 {
-		b := int64(float64(lim.Budget) * t.degradeFactor)
-		if b < 1 {
-			b = 1
-		}
-		lim.Budget = b
+		lim.Budget = max(1, int64(float64(lim.Budget)*degradeFactor))
 	} else {
-		lim.Budget = t.degradedBudget
+		lim.Budget = t.envelope
 	}
 	return lim, true
 }

@@ -64,17 +64,12 @@ func TestTenantsThrottleAtEnvelope(t *testing.T) {
 }
 
 func TestTenantsUnlimitedBudgetCapped(t *testing.T) {
-	g, _ := newTestTenants(TenantPolicy{Envelope: 100, DegradedBudget: 40})
+	// A throttled tenant's unlimited budget is capped at its envelope.
+	g, _ := newTestTenants(TenantPolicy{Envelope: 100})
 	g.Charge("a", 200)
 	got, throttled := g.Shape("a", exec.Limits{})
-	if !throttled || got.Budget != 40 {
-		t.Errorf("unlimited budget not capped: %+v throttled=%v", got, throttled)
-	}
-	// DegradedBudget defaults to the envelope itself.
-	g2, _ := newTestTenants(TenantPolicy{Envelope: 100})
-	g2.Charge("a", 200)
-	if got, _ := g2.Shape("a", exec.Limits{}); got.Budget != 100 {
-		t.Errorf("default degraded budget=%d, want envelope 100", got.Budget)
+	if !throttled || got.Budget != 100 {
+		t.Errorf("unlimited budget=%d throttled=%v, want envelope 100", got.Budget, throttled)
 	}
 }
 

@@ -56,14 +56,11 @@ func (s *System) initAdmission(opts Options) {
 		admitTimeout = DefaultAdmitTimeout
 	}
 	s.queue = admission.New(admission.Options{
-		MaxActive:       maxActive,
-		MaxQueue:        maxQueue,
-		AdmitTimeout:    admitTimeout,
-		DegradeAtDepth:  opts.DegradeAtDepth,
-		SaturateAtDepth: opts.SaturateAtDepth,
-		DegradeFactor:   opts.DegradeFactor,
-		DegradedBudget:  opts.DegradedBudget,
-		Metrics:         opts.AdmissionMetrics,
+		MaxActive:      maxActive,
+		MaxQueue:       maxQueue,
+		AdmitTimeout:   admitTimeout,
+		DegradedBudget: opts.DegradedBudget,
+		Metrics:        opts.AdmissionMetrics,
 	})
 }
 
@@ -73,10 +70,6 @@ func (s *System) initAdmission(opts Options) {
 // immediate) or shutdown kicks the waiter. It returns the release
 // function on success.
 func (s *System) acquire(ctx context.Context) (func(), error) {
-	if s.queue == nil {
-		// Zero-value or hand-built System: admission control disabled.
-		return func() {}, nil
-	}
 	release, err := s.queue.Acquire(ctx)
 	if err != nil {
 		var to *admission.ErrTimeout
@@ -94,25 +87,16 @@ func (s *System) acquire(ctx context.Context) (func(), error) {
 // its slot or ctx dies. In-flight operations are not cancelled here —
 // cancel their contexts to hurry them. Idempotent.
 func (s *System) Shutdown(ctx context.Context) error {
-	if s.queue == nil {
-		return nil
-	}
 	return s.queue.Shutdown(ctx)
 }
 
 // AdmissionState reports the queue's load-shedding state.
 func (s *System) AdmissionState() admission.State {
-	if s.queue == nil {
-		return admission.Healthy
-	}
 	return s.queue.State()
 }
 
 // AdmissionStats snapshots the admission queue for health surfaces.
 func (s *System) AdmissionStats() admission.Stats {
-	if s.queue == nil {
-		return admission.Stats{}
-	}
 	return s.queue.Stats()
 }
 
@@ -122,11 +106,7 @@ func (s *System) AdmissionStats() admission.Stats {
 // the request returns a flagged partial instead of holding a slot until
 // it times out.
 func (s *System) ShapeLimits(lim exec.Limits) (exec.Limits, admission.State) {
-	lim = s.limits(lim)
-	if s.queue == nil {
-		return lim, admission.Healthy
-	}
-	return s.queue.Shape(lim)
+	return s.queue.Shape(s.limits(lim))
 }
 
 // limits applies the session's worker default to a caller's Limits: an
@@ -158,7 +138,7 @@ func (s *System) CalculateFasciclesCtx(ctx context.Context, datasetName string, 
 	}
 	defer release()
 	c := exec.New(ctx, s.limits(lim))
-	names, partial, err := s.calculateFascicles(c, datasetName, opts)
+	names, _, partial, err := s.calculateFascicles(c, datasetName, opts)
 	if err != nil {
 		names = nil
 	}

@@ -133,7 +133,8 @@ func chargeReuse(c *exec.Ctl, op string, units int64) (err error) {
 // whether it was budget-stopped. Budget-stopped partials are returned
 // but never cached. A canonicalization error (non-data params) is not
 // fatal: the query simply runs uncached. The tenant is charged only the
-// units this call computed, not those of sub-results it reused.
+// units this call computed, also when the compute fails, and not those
+// of sub-results it reused.
 func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params any, lim exec.Limits, compute func(c *exec.Ctl, snap Snapshot) (value any, bytes int64, partial bool, err error)) (QueryResult, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
@@ -141,11 +142,7 @@ func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params a
 	}
 	defer release()
 
-	lim = s.limits(lim)
-	state := admission.Healthy
-	if s.queue != nil {
-		lim, state = s.queue.Shape(lim)
-	}
+	lim, state := s.ShapeLimits(lim)
 	lim, throttled := s.tenants.Shape(tenant, lim)
 
 	// One atomic snapshot of (data, generation): the key's generation
@@ -189,37 +186,21 @@ func (s *System) CachedQueryCtx(ctx context.Context, tenant, op string, params a
 		Source:     src,
 		Trace:      trace,
 	}
+	if src == rescache.SourceComputed {
+		// Only the caller that actually burned the units pays for them,
+		// whether its compute finished or failed (a budget-stopped
+		// search is an error); hits, shared joins and reused
+		// sub-results ride for free by design.
+		s.tenants.Charge(tenant, trace.Units-*snap.reused)
+	}
 	if err != nil {
 		return out, err
-	}
-	if src == rescache.SourceComputed {
-		// Only the caller that actually burned the units pays for them;
-		// hits, shared joins and reused sub-results ride for free by
-		// design.
-		s.tenants.Charge(tenant, res.Units-*snap.reused)
 	}
 	out.Value = res.Value
 	out.Units = res.Units
 	out.Partial = res.Partial
 	out.Record = res.Record
 	return out, nil
-}
-
-// ShapeLimitsFor is ShapeLimits with the tenant envelope applied on
-// top: the queue-wide policy shapes first, then the tenant's own
-// governor — so a heavy tenant degrades itself before the fleet
-// degrades everyone.
-func (s *System) ShapeLimitsFor(tenant string, lim exec.Limits) (exec.Limits, admission.State, bool) {
-	lim, state := s.ShapeLimits(lim)
-	lim, throttled := s.tenants.Shape(tenant, lim)
-	return lim, state, throttled
-}
-
-// ChargeTenant records completed work against a tenant's envelope for
-// paths that compute outside CachedQueryCtx (e.g. the uncached /mine
-// handler).
-func (s *System) ChargeTenant(tenant string, units int64) {
-	s.tenants.Charge(tenant, units)
 }
 
 // TenantStats snapshots the tenant governor; the zero value when

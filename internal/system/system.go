@@ -48,17 +48,10 @@ type Options struct {
 	// AdmitTimeout bounds how long a caller queues for an admission slot
 	// before failing with *ErrBusy. Zero means the default of 10s.
 	AdmitTimeout time.Duration
-	// DegradeAtDepth and SaturateAtDepth are the queue depths at which
-	// the admission state machine tips into Degraded and Saturated; zero
-	// selects the admission package defaults (half and nine-tenths of
-	// MaxQueue).
-	DegradeAtDepth  int
-	SaturateAtDepth int
-	// DegradeFactor scales explicit request budgets while the queue is
-	// Degraded or Saturated (ShapeLimits); zero means 0.25.
-	DegradeFactor float64
-	// DegradedBudget caps otherwise-unlimited request budgets while
-	// Degraded or Saturated; zero leaves them unlimited.
+	// DegradedBudget caps otherwise-unlimited request budgets while the
+	// admission queue is Degraded or Saturated (ShapeLimits); zero
+	// leaves them unlimited. The queue tips into those states at depths
+	// derived from MaxQueue; see admission.New.
 	DegradedBudget int64
 	// AdmissionMetrics optionally records admission queue gauges,
 	// counters and wait times; nil disables instrumentation.
@@ -70,10 +63,10 @@ type Options struct {
 	// the rescache defaults.
 	ResultCache *rescache.Options
 	// TenantPolicy enables per-tenant work-budget envelopes on top of
-	// the shared admission queue (ShapeLimitsFor, CachedQueryCtx): a
-	// tenant over its envelope has its budgets shaped down exactly like
-	// queue-wide degradation, so one heavy tenant degrades itself before
-	// degrading the fleet. Nil disables tenant shaping.
+	// the shared admission queue (CachedQueryCtx): a tenant over its
+	// envelope has its budgets shaped down exactly like queue-wide
+	// degradation, so one heavy tenant degrades itself before degrading
+	// the fleet. Nil disables tenant shaping.
 	TenantPolicy *admission.TenantPolicy
 	// Ingest enables the streaming append path: the session is built on
 	// an ingest.View, and IngestAppendCtx accepts batches of new
@@ -463,15 +456,16 @@ type FascicleOptions struct {
 // SUMY and ENUM forms) as <dataset><K>k_<i>; it returns the names.
 // GenerateMetadata must have been called for the dataset.
 func (s *System) CalculateFascicles(datasetName string, opts FascicleOptions) ([]string, error) {
-	names, _, err := s.calculateFascicles(s.background(), datasetName, opts)
+	names, _, _, err := s.calculateFascicles(s.background(), datasetName, opts)
 	return names, err
 }
 
 // calculateFascicles is the metered implementation behind both the legacy
-// method and CalculateFasciclesCtx. The registry lock is held only around
+// method and CalculateFasciclesCtx; it returns the registered names with
+// their results, index-aligned. The registry lock is held only around
 // lookup and registration; the mining itself — the expensive part — runs
 // unlocked, panic-isolated and metered by the caller's Ctl.
-func (s *System) calculateFascicles(c *exec.Ctl, datasetName string, opts FascicleOptions) (_ []string, partial bool, err error) {
+func (s *System) calculateFascicles(c *exec.Ctl, datasetName string, opts FascicleOptions) (_ []string, _ []core.MineResult, partial bool, err error) {
 	sp := c.StartSpan("system.CalculateFascicles")
 	sp.SetInput("dataset %s, k=%d", datasetName, opts.K)
 	defer c.EndSpan(sp, &partial, &err)
@@ -479,7 +473,7 @@ func (s *System) calculateFascicles(c *exec.Ctl, datasetName string, opts Fascic
 	d, err := s.datasetLocked(datasetName)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	// The generation the mine describes is the one d was snapshotted at,
 	// not the one current when registration finally runs — an append may
@@ -488,12 +482,9 @@ func (s *System) calculateFascicles(c *exec.Ctl, datasetName string, opts Fascic
 	tol, ok := s.tolerances[datasetName]
 	if !ok {
 		s.mu.Unlock()
-		return nil, false, fmt.Errorf("system: generate metadata for %q before calculating fascicles", datasetName)
+		return nil, nil, false, fmt.Errorf("system: generate metadata for %q before calculating fascicles", datasetName)
 	}
-	prefix := fmt.Sprintf("%s%dk", datasetName, opts.K/1000)
-	if opts.K < 1000 {
-		prefix = fmt.Sprintf("%s%d", datasetName, opts.K)
-	}
+	prefix := fasciclePrefix(datasetName, opts.K)
 	// Repeating a run with the same parameters gets a fresh run suffix, as
 	// the GUI would append to the fascicles list rather than overwrite.
 	base := prefix
@@ -513,22 +504,22 @@ func (s *System) calculateFascicles(c *exec.Ctl, datasetName string, opts Fascic
 		return err
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fasFile, err := s.Store.Get(TblFasFile)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	fasInfo, err := s.Store.Get(TblFasInfo)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	fasLib, err := s.Store.Get(TblFasLib)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	fasFile.MustInsert(relational.S(s.User), relational.S(prefix), relational.S(datasetName),
 		relational.I(int64(opts.K)), relational.S(datasetName+"file.b"),
@@ -547,16 +538,15 @@ func (s *System) calculateFascicles(c *exec.Ctl, datasetName string, opts Fascic
 	if genAtSnap > 0 {
 		lineageParams["generation"] = fmt.Sprint(genAtSnap)
 	}
-	var names []string
+	names := fascicleNames(prefix, len(results))
 	//lint:gea ctlcharge -- registers already-mined results; a mid-loop stop would strand half-registered fascicles in the lineage and relational stores
-	for i := range results {
+	for i, name := range names {
 		r := results[i]
-		name := fmt.Sprintf("%s_%d", prefix, i+1)
 		if err := s.checkFresh(name); err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		if _, err := s.Lineage.Record(name, lineage.KindFascicle, "mine", lineageParams, datasetName); err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		s.fascicles[name] = &r
 		s.noteBornLocked(name, genAtSnap)
@@ -566,9 +556,8 @@ func (s *System) calculateFascicles(c *exec.Ctl, datasetName string, opts Fascic
 		for _, row := range r.Fascicle.Rows {
 			fasLib.MustInsert(relational.S(s.User), relational.S(name), relational.I(int64(d.Libs[row].ID)))
 		}
-		names = append(names, name)
 	}
-	return names, partial, nil
+	return names, results, partial, nil
 }
 
 // PurityCheck reports whether the fascicle is pure for the property
@@ -938,8 +927,10 @@ func (s *System) FindPureFascicle(datasetName string, prop sage.Property, minSiz
 }
 
 // findPureFascicle is the metered search shared by FindPureFascicle and
-// FindPureFascicleCtx; one Ctl spans the whole strict-to-loose scan, so
-// a budget covers the search as a whole, not each mining run separately.
+// FindPureFascicleCtx: scanPure over the registered dataset, each level
+// registered by calculateFascicles. The found name is memoized per
+// dataset, property, size and miner, and its threshold recorded in
+// CDInfo.
 func (s *System) findPureFascicle(c *exec.Ctl, datasetName string, prop sage.Property, minSize int, alg core.Algorithm) (_ string, partial bool, err error) {
 	sp := c.StartSpan("system.FindPureFascicle")
 	sp.SetInput("dataset %s, prop=%v, minSize=%d", datasetName, prop, minSize)
@@ -964,51 +955,21 @@ func (s *System) findPureFascicle(c *exec.Ctl, datasetName string, prop sage.Pro
 	}
 	s.mu.Unlock()
 
-	sawPartial := false
-	for kpct := 75; kpct >= 45; kpct -= 5 {
-		names, partial, err := s.calculateFascicles(c, datasetName, FascicleOptions{
-			K: d.NumTags() * kpct / 100, MinSize: minSize, Algorithm: alg,
-		})
-		if err != nil {
-			return "", sawPartial, err
-		}
-		sawPartial = sawPartial || partial
-		s.mu.Lock()
-		best, bestCompact := "", -1
-		for _, n := range names {
-			r, err := s.fascicleLocked(n)
-			if err != nil {
-				s.mu.Unlock()
-				return "", sawPartial, err
-			}
-			if !r.Enum.IsPure(prop) {
-				continue
-			}
-			if r.Fascicle.NumCompact() > bestCompact {
-				bestCompact, best = r.Fascicle.NumCompact(), n
-			}
-		}
-		if best != "" {
-			cd, err := s.Store.Get(TblCDInfo)
-			if err != nil {
-				s.mu.Unlock()
-				return "", sawPartial, err
-			}
-			cd.MustInsert(relational.S(datasetName), relational.I(int64(d.NumTags()*kpct/100)))
-			s.foundPure[cacheKey] = best
-			s.mu.Unlock()
-			return best, sawPartial, nil
-		}
-		s.mu.Unlock()
-		if partial {
-			// The budget ran out mid-scan; looser thresholds would only mine
-			// against an already-exhausted budget. A search has no usable
-			// partial value, so exhaustion surfaces as an error here.
-			return "", true, fmt.Errorf("system: work budget exhausted before a pure %v fascicle was found in %q: %w",
-				prop, datasetName, exec.ErrBudget)
-		}
+	best, k, partial, err := scanPure(c, datasetName, d.NumTags(), prop, func(c *exec.Ctl, k int) ([]string, []core.MineResult, bool, error) {
+		return s.calculateFascicles(c, datasetName, FascicleOptions{K: k, MinSize: minSize, Algorithm: alg})
+	})
+	if err != nil {
+		return "", partial, err
 	}
-	return "", sawPartial, fmt.Errorf("system: no pure %v fascicle found in %q at any threshold", prop, datasetName)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cd, err := s.Store.Get(TblCDInfo)
+	if err != nil {
+		return "", partial, err
+	}
+	cd.MustInsert(relational.S(datasetName), relational.I(int64(k)))
+	s.foundPure[cacheKey] = best
+	return best, partial, nil
 }
 
 // DropContents frees a derived GAP-family table's contents while keeping its

@@ -17,14 +17,9 @@ type (
 	// ObsRecord is one completed operator span: a node in the run tree
 	// that LastRoot/Roots return and lineage nodes link to.
 	ObsRecord = obs.Record
-	// ObsRegistry is the collector's metrics store.
-	ObsRegistry = obs.Registry
 	// ObsSnapshot is a deterministic (name-sorted) point-in-time copy
 	// of a registry, stable enough to golden in tests.
 	ObsSnapshot = obs.Snapshot
-	// ObsOutcome classifies how a span ended ("ok", "partial",
-	// "canceled", "budget", "error", "panic").
-	ObsOutcome = obs.Outcome
 )
 
 var (
@@ -33,16 +28,8 @@ var (
 	// WithObsCollector installs a collector on a context; every *Ctx
 	// operator run under it records spans and metrics.
 	WithObsCollector = obs.WithCollector
-	// ObsFromContext returns the installed collector, or nil.
-	ObsFromContext = obs.FromContext
 )
 
-// Span outcomes, re-exported for matching against ObsRecord.Outcome.
-const (
-	ObsOutcomeOK       = obs.OutcomeOK
-	ObsOutcomePartial  = obs.OutcomePartial
-	ObsOutcomeCanceled = obs.OutcomeCanceled
-	ObsOutcomeBudget   = obs.OutcomeBudget
-	ObsOutcomeError    = obs.OutcomeError
-	ObsOutcomePanic    = obs.OutcomePanic
-)
+// ObsOutcomeBudget is the outcome of a span that a work budget stopped,
+// for matching against ObsRecord.Outcome.
+const ObsOutcomeBudget = obs.OutcomeBudget

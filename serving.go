@@ -24,9 +24,6 @@ type (
 	ResultCacheOptions = rescache.Options
 	// ResultCacheStats snapshots the cache for /healthz and tests.
 	ResultCacheStats = rescache.Stats
-	// CacheSource reports where a cached query's result came from:
-	// computed, hit, or shared (a single-flight join).
-	CacheSource = rescache.Source
 
 	// TenantPolicy enables per-tenant work-budget envelopes
 	// (SystemOptions.TenantPolicy).
@@ -34,14 +31,10 @@ type (
 	// TenantsStats snapshots every tenant's envelope debt.
 	TenantsStats = admission.TenantsStats
 
-	// StaleError reports a read of a derived artifact whose corpus
-	// generation has been superseded by an ingest append; it carries
-	// both generations so the caller can re-derive.
-	StaleError = system.StaleError
-	// QueryResult is the outcome of a cached query: the value plus the
-	// accounting (generation, units, source) that keeps cached and
-	// computed responses reconcilable.
-	QueryResult = system.QueryResult
+	// PureQuery is the pure-fascicle search as a cached read-only
+	// query over one corpus generation (System.CachedQueryCtx), the
+	// form GET /mine runs.
+	PureQuery = system.PureQuery
 
 	// SessionManager owns the serving session table over a System.
 	SessionManager = session.Manager
@@ -70,16 +63,13 @@ var (
 	// ErrSessionExpired marks reads of expired or closed session IDs
 	// (410), for errors.Is.
 	ErrSessionExpired = session.ErrSessionExpired
-	// SessionOps lists the operators a session can run.
-	SessionOps = session.Ops
 )
 
 // Serving defaults, re-exported for flag registration.
 const (
-	DefaultSessionExpiry      = session.DefaultExpiry
-	DefaultMaxSessions        = session.DefaultMaxSessions
-	DefaultCacheMaxEntries    = rescache.DefaultMaxEntries
-	DefaultCacheMaxBytes      = rescache.DefaultMaxBytes
-	DefaultTenantWindow       = admission.DefaultTenantWindow
-	DefaultTenantDegradeRatio = admission.DefaultTenantDegradeFactor
+	DefaultSessionExpiry   = session.DefaultExpiry
+	DefaultMaxSessions     = session.DefaultMaxSessions
+	DefaultCacheMaxEntries = rescache.DefaultMaxEntries
+	DefaultCacheMaxBytes   = rescache.DefaultMaxBytes
+	DefaultTenantWindow    = admission.DefaultTenantWindow
 )
